@@ -1685,14 +1685,14 @@ let run_soak () =
         Domain.spawn (fun () -> soak_worker t ~worker:w ~count:per_worker))
     |> List.map Domain.join
   in
-  (* snapshot the chaos tallies before reset zeroes them, and the
-     shed/recovered mirrors before the phase-4 servers (whose own
-     gauges are zero) overwrite the process-wide counters *)
+  (* snapshot the chaos tallies before reset zeroes them, and the soak
+     server's shed/recovered totals from its own scrape *)
   let raises = !Serve.Chaos.injected_raises in
   let exhausts = !Serve.Chaos.injected_exhausts in
   let slows = !Serve.Chaos.injected_slows in
-  let shed = !Linalg.Counters.serve_shed in
-  let recovered = !Linalg.Counters.serve_recovered in
+  let scrape = Serve.Telemetry.exposition (Serve.Server.telemetry t) in
+  let shed = prom_total scrape "wisefuse_shed_total" in
+  let recovered = prom_total scrape "wisefuse_recovered_total" in
   Serve.Chaos.reset ();
   let tallies = pill_tally :: tallies in
 

@@ -40,27 +40,6 @@ let lp_relax_solves = ref 0
 let cluster_rounds = ref 0
 let dfp_fallbacks = ref 0
 
-(* wiseserve (lib/serve) counters: requests handled by the daemon and
-   the hit/miss/eviction traffic of its content-addressed cross-request
-   cache. The cache keeps its own authoritative tallies under its lock
-   and re-syncs these refs (plain [:=]) after every request, so they
-   survive the per-solve [reset] the daemon performs for deterministic
-   per-request solver counters. *)
-let serve_requests = ref 0
-let serve_cache_hits = ref 0
-let serve_cache_misses = ref 0
-let serve_cache_evictions = ref 0
-
-(* wiseharden counters: requests shed by admission control, requests
-   whose escaped exception was firewalled (solver state scrubbed), and
-   circuit-breaker traffic (trips = times a fingerprint's breaker
-   opened; rejects = requests turned away while one was open). Synced
-   from the server's authoritative atomics like the cache tallies. *)
-let serve_shed = ref 0
-let serve_recovered = ref 0
-let serve_breaker_trips = ref 0
-let serve_breaker_rejects = ref 0
-
 let all_counters () =
   [ ("lp_solves", !lp_solves);
     ("lp_pivots", !lp_pivots);
@@ -79,14 +58,6 @@ let all_counters () =
     ("lp_relax_solves", !lp_relax_solves);
     ("cluster_rounds", !cluster_rounds);
     ("dfp_fallbacks", !dfp_fallbacks);
-    ("serve_requests", !serve_requests);
-    ("serve_cache_hits", !serve_cache_hits);
-    ("serve_cache_misses", !serve_cache_misses);
-    ("serve_cache_evictions", !serve_cache_evictions);
-    ("serve_shed", !serve_shed);
-    ("serve_recovered", !serve_recovered);
-    ("serve_breaker_trips", !serve_breaker_trips);
-    ("serve_breaker_rejects", !serve_breaker_rejects);
     ("big_promotions", !promotions);
     ("big_demotions", !demotions) ]
 
@@ -167,14 +138,6 @@ let reset () =
   lp_relax_solves := 0;
   cluster_rounds := 0;
   dfp_fallbacks := 0;
-  serve_requests := 0;
-  serve_cache_hits := 0;
-  serve_cache_misses := 0;
-  serve_cache_evictions := 0;
-  serve_shed := 0;
-  serve_recovered := 0;
-  serve_breaker_trips := 0;
-  serve_breaker_rejects := 0;
   Hashtbl.reset stages;
   stage_order := []
 

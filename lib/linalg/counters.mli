@@ -82,33 +82,6 @@ val cluster_rounds : int ref
     back to the ILP engine. *)
 val dfp_fallbacks : int ref
 
-(** {2 Serving (wiseserve) counters}
-
-    Requests handled by the scheduling daemon and the traffic of its
-    content-addressed cross-request cache. The cache keeps its own
-    authoritative tallies under its lock and re-syncs these refs after
-    every request (the daemon resets the solver counters per cold solve
-    to keep per-request counter deltas deterministic). *)
-
-val serve_requests : int ref
-val serve_cache_hits : int ref
-val serve_cache_misses : int ref
-val serve_cache_evictions : int ref
-
-(** Requests shed by admission control (typed ["overloaded"]). *)
-val serve_shed : int ref
-
-(** Requests whose escaped exception was caught by the serve firewall
-    (the global solver state was scrubbed before the lock released). *)
-val serve_recovered : int ref
-
-(** Circuit-breaker trips (a fingerprint's failure run crossed the
-    threshold and opened) and rejects (requests answered ["breaker"]
-    while open). *)
-val serve_breaker_trips : int ref
-
-val serve_breaker_rejects : int ref
-
 (** [time stage f] runs [f ()] and adds its wall-clock duration to the
     accumulator for [stage] (even if [f] raises). Timers are
     {e exclusive}: when stages nest, the inner stage's time is

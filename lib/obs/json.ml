@@ -58,13 +58,16 @@ let rec write buf = function
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
+        write_key buf i k;
         write buf v)
       fields;
     Buffer.add_char buf '}'
+
+and write_key buf i k =
+  if i > 0 then Buffer.add_string buf ", ";
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (escape k);
+  Buffer.add_string buf "\": "
 
 let to_buffer buf v = write buf v
 
@@ -72,6 +75,27 @@ let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
+
+(* [to_string v] straight to [oc], with [bytes] sent as they are for
+   the value of the top-level field [name]; only the rest of [v] passes
+   through a small buffer. *)
+let output_spliced oc ~name ~bytes = function
+  | Obj fields ->
+    let buf = Buffer.create 256 in
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        write_key buf i k;
+        if k = name then begin
+          Buffer.output_buffer oc buf;
+          Buffer.clear buf;
+          output_string oc bytes
+        end
+        else write buf v)
+      fields;
+    Buffer.add_char buf '}';
+    Buffer.output_buffer oc buf
+  | v -> output_string oc (to_string v)
 
 let rec write_pretty buf indent = function
   | (Null | Bool _ | Int _ | Float _ | Str _) as v -> write buf v

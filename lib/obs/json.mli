@@ -32,6 +32,15 @@ val to_string_pretty : t -> string
 (** Append the compact rendering to a buffer. *)
 val to_buffer : Buffer.t -> t -> unit
 
+(** [output_spliced oc ~name ~bytes v] writes the compact rendering of
+    [v] to [oc], with [bytes] written verbatim as the value of [v]'s
+    top-level field [name]. When [bytes] is [to_string] of that field's
+    value, the output is [to_string v] byte for byte; a value rendered
+    once can so be re-sent inside new objects without being rendered or
+    copied again. A [v] that is not an object is written as
+    [to_string v]. *)
+val output_spliced : out_channel -> name:string -> bytes:string -> t -> unit
+
 (** Parse a complete JSON document. [Error msg] carries a byte offset.
     Numbers without ['.'], ['e'] or overflow parse as [Int], everything
     else as [Float]. *)

@@ -1,21 +1,24 @@
 (* The content-addressed cross-request cache.
 
-   Maps a Fingerprint key to the full certified response payload (an
-   immutable Obs.Json tree — embedding the same tree into every
-   envelope guarantees hit responses are byte-identical to the miss
-   that created them). Eviction is LRU over a capacity bound: each
-   access stamps a monotonically increasing tick, and inserting past
-   capacity evicts the smallest stamp. The scan is O(capacity), paid
+   Maps a Fingerprint key to the full certified response payload: the
+   immutable Obs.Json tree, and its compact rendering made once, at
+   insert. A hit re-sends those bytes verbatim, which is what makes it
+   byte-identical to the miss that created the entry, and spares it
+   rendering a payload of several kilobytes per request. Eviction is
+   LRU over a capacity bound: each access stamps a monotonically
+   increasing tick, and inserting past capacity evicts the smallest
+   stamp. The scan is O(capacity), paid
    only on insertion of a new entry into a full cache — at serving
    capacities (hundreds to thousands of entries) this is noise next to
    the ILP solve that the insertion just performed.
 
    All operations take the cache lock, so any number of domains can hit
-   concurrently. Tallies are kept under the same lock (authoritative)
-   and mirrored into Linalg.Counters by [sync_counters]. *)
+   concurrently. The hit/miss/eviction tallies are kept under the same
+   lock and read through [stats]. *)
 
 type entry = {
-  payload : Obs.Json.t;  (* the cached "result" object, served verbatim *)
+  payload : Obs.Json.t;  (* the cached "result" object *)
+  rendered : string;  (* [Obs.Json.to_string payload], served verbatim *)
   deps_fp : string;  (* Fingerprint.deps_key of the solve's dependence set *)
   solve_ms : float;  (* wall time of the cold solve that built this entry *)
   mutable last_used : int;
@@ -95,11 +98,14 @@ let evict_lru t =
   | None -> ()
 
 let add t key ~payload ~deps_fp ~solve_ms =
+  (* rendered outside the lock: it is the slow part *)
+  let rendered = Obs.Json.to_string payload in
   locked t (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
         t.tick <- t.tick + 1;
-        Hashtbl.add t.tbl key { payload; deps_fp; solve_ms; last_used = t.tick }
+        Hashtbl.add t.tbl key
+          { payload; rendered; deps_fp; solve_ms; last_used = t.tick }
       end)
 
 let stats t =
@@ -111,15 +117,3 @@ let stats t =
         entries = Hashtbl.length t.tbl;
         capacity = t.capacity;
       })
-
-(* Mirror the authoritative tallies into the process-wide counters so
-   `--stats` and the bench records see serving traffic alongside the
-   solver counters. Plain [:=]: the daemon resets solver counters per
-   cold solve, and re-syncing after every request keeps these correct
-   regardless. *)
-let sync_counters t ~requests =
-  let s = stats t in
-  Linalg.Counters.serve_requests := requests;
-  Linalg.Counters.serve_cache_hits := s.hits;
-  Linalg.Counters.serve_cache_misses := s.misses;
-  Linalg.Counters.serve_cache_evictions := s.evictions

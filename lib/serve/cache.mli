@@ -1,16 +1,20 @@
 (** The content-addressed cross-request cache of the scheduling daemon.
 
     Maps {!Fingerprint} keys to full certified response payloads. The
-    payload is an immutable {!Obs.Json.t} tree served verbatim, so a
-    hit's rendered bytes are identical to the miss response that
-    created the entry. Eviction is LRU under a fixed capacity.
+    payload is an immutable {!Obs.Json.t} tree, rendered once at
+    insert; a hit re-sends those bytes verbatim, so its ["result"] is
+    byte-identical to the miss response that created the entry.
+    Eviction is LRU under a fixed capacity.
 
     Every operation is safe to call from concurrent domains (one lock
-    per cache). Hit/miss/eviction tallies are authoritative here and
-    mirrored into [Linalg.Counters] by {!sync_counters}. *)
+    per cache). Hit/miss/eviction tallies are kept here and read
+    through {!stats}. *)
 
 type entry = {
   payload : Obs.Json.t;  (** the cached ["result"] object *)
+  rendered : string;
+      (** [Obs.Json.to_string payload], made once at insert and sent
+          verbatim by every hit *)
   deps_fp : string;
       (** {!Fingerprint.deps_key} of the dependence set the cold solve
           derived — audit metadata, not part of the lookup key *)
@@ -43,12 +47,8 @@ val count_hit : t -> unit
 
 val count_miss : t -> unit
 
-(** Insert (no-op if the key is already present), evicting the LRU
-    entry when at capacity. *)
+(** Insert (no-op if the key is already present), rendering the payload
+    once and evicting the LRU entry when at capacity. *)
 val add : t -> string -> payload:Obs.Json.t -> deps_fp:string -> solve_ms:float -> unit
 
 val stats : t -> stats
-
-(** Mirror the tallies (plus the caller's request count) into
-    [Linalg.Counters.serve_*]. *)
-val sync_counters : t -> requests:int -> unit

@@ -5,20 +5,39 @@
    Cache when possible. A miss runs the full certified pipeline —
    Fusion.Model.optimize under a nested trace capture (so the decision
    events become the response's explain chain), then wisecheck — and
-   stores the rendered payload for every later request with the same
-   content.
+   stores the payload, rendered once, for every later request with the
+   same content.
 
-   Concurrency model (OCaml 5 domains): any number of workers serve
-   hits and protocol ops concurrently — the cache has its own lock and
-   the hit path touches no other shared state. Cold solves serialize
-   under one solver lock, because the exact-arithmetic pipeline keeps
-   process-wide state (the Farkas memo table, the pipeline counters,
-   the trace sink); holding the lock also makes the per-request counter
-   deltas exact — the response's "serve" section proves a hit performed
-   zero LP pivots and zero B&B nodes, and a miss reports precisely its
-   own solver work. Concurrent requests for the SAME key coalesce: the
-   second requester blocks on the solver lock, re-probes the cache, and
-   leaves with the first one's entry (a hit, never a duplicate solve).
+   Every request line goes through two steps. [admit] parses it,
+   applies admission (oversized, draining, overload shedding), answers
+   protocol ops, usage and breaker errors, and probes the cache; a hit
+   is answered right there. Only a miss reaches [solve], carried as
+   its parsed request, program and key, so nothing is parsed, built or
+   fingerprinted twice. A name memo (kernel, size, model, engine,
+   reductions -> key) lets a repeated request skip the program build
+   and the fingerprint altogether: the protocol names only registry
+   kernels, whose programs are pure functions of name and size.
+
+   Concurrency model (OCaml 5 domains). With [--stdio --domains N] the
+   reading domain runs [admit] inline and writes every answer it can;
+   a hit streams its envelope around the payload's pre-rendered bytes
+   straight to the channel, so it neither waits behind a cold solve
+   nor allocates much (OCaml 5.1 reports the top heap as the sum of
+   each domain's own peak, so whatever the reader keeps alive adds to
+   the daemon's figure). Misses go to a pool of N worker domains. The
+   synchronous paths — [--domains 1], and each socket connection, one
+   worker per connection — run [admit] then [solve] in sequence. Cold
+   solves serialize under one solver lock, because the exact-arithmetic
+   pipeline keeps process-wide state (the Farkas memo table, the
+   pipeline counters, the trace sink); holding the lock also makes the
+   per-request counter deltas exact — the response's "serve" section
+   proves a hit performed zero LP pivots and zero B&B nodes, and a miss
+   reports precisely its own solver work, while its payload's counters
+   hold nothing but that solve's. (Running cold solves in parallel,
+   with per-domain solver state, was measured slower on 2 vCPUs.)
+   Concurrent requests for the SAME key coalesce: the second requester
+   blocks on the solver lock, re-probes the cache, and leaves with the
+   first one's entry (a hit, never a duplicate solve).
 
    Hardening (wiseharden): every request solves under a fresh deadline
    budget (client "deadline_ms", server default/cap), so a pathological
@@ -70,16 +89,22 @@ let default_config =
     access_log = None;
   }
 
+(* what a schedule request names: kernel, size, model, engine,
+   reductions — the key of the name memo *)
+type names = string * int option * string * string * bool
+
 type t = {
   config : config;
   cache : Cache.t;
   breaker : Breaker.t;
   solver : Mutex.t;  (* serializes cold solves and the global solver state *)
   out : Mutex.t;  (* serializes response emission in pool modes *)
+  names : (names, string) Hashtbl.t;  (* the name -> key memo *)
+  names_lock : Mutex.t;
   stop : bool Atomic.t;
   requests : int Atomic.t;
   inflight : int Atomic.t;  (* requests admitted and not yet answered *)
-  queued : int Atomic.t;  (* lines/connections waiting in a pool queue *)
+  queued : int Atomic.t;  (* connections waiting for a socket worker *)
   shed : int Atomic.t;  (* schedule requests refused by admission control *)
   recovered : int Atomic.t;  (* exceptions caught by the solve firewall *)
   started : float;  (* Clock.now — uptime survives NTP steps *)
@@ -127,6 +152,8 @@ let create ?(config = default_config) () =
     breaker;
     solver = Mutex.create ();
     out = Mutex.create ();
+    names = Hashtbl.create (min config.cache_capacity 1024);
+    names_lock = Mutex.create ();
     stop = Atomic.make false;
     requests = Atomic.make 0;
     inflight;
@@ -282,235 +309,6 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
   in
   (payload, Fingerprint.deps_key deps, degraded)
 
-(* --- request handling ---------------------------------------------------- *)
-
-let solver_deltas () =
-  let all = Linalg.Counters.all_counters () in
-  List.map
-    (fun n -> (n, Option.value (List.assoc_opt n all) ~default:0))
-    Protocol.solver_counter_names
-
-(* The deadline a request actually solves under: the client's ask,
-   capped — or the server default when the client sent none. *)
-let effective_deadline t requested =
-  match requested with
-  | Some d -> Some (min d t.config.max_deadline_ms)
-  | None -> t.config.default_deadline_ms
-
-let hit_response ~id ~key ~coalesced ~wall0 ?deadline_ms (e : Cache.entry) =
-  if Obs.Trace.on () then
-    Obs.Trace.instant ~cat:"serve" "serve.cache-hit"
-      ~args:
-        [ ("key", Obs.Json.Str key); ("coalesced", Obs.Json.Bool coalesced) ];
-  let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
-  Protocol.schedule_response ~id ~key ~cache_state:"hit"
-    ~serve:
-      (Protocol.serve_section ~coalesced ?deadline_ms ~wall_us
-         ~solver:Protocol.zero_solver ())
-    ~result:e.Cache.payload
-
-(* A solve failure (typed diagnostic or firewalled exception) feeds the
-   per-fingerprint breaker; crossing the threshold opens it. *)
-let note_failure t key =
-  if Breaker.record_failure t.breaker key && Obs.Trace.on () then
-    Obs.Trace.instant ~cat:"serve" "serve.breaker"
-      ~args:[ ("key", Obs.Json.Str key); ("state", Obs.Json.Str "open") ]
-
-(* Poisoned-state recovery: an exception escaped the solve path, so the
-   process-wide solver state is suspect (half-bumped counters, a
-   partially filled Farkas memo). Scrub everything back to the baseline
-   every cold solve starts from, while the solver lock is still held —
-   the next solve provably sees clean state. The trace sink needs no
-   repair here: [Obs.Trace.capture] restores it on exceptions. *)
-let recover t ~key exn =
-  Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
-  Atomic.incr t.recovered;
-  if Obs.Trace.on () then
-    Obs.Trace.instant ~cat:"serve" "serve.recovered"
-      ~args:
-        [ ("key", Obs.Json.Str key);
-          ("exn", Obs.Json.Str (Printexc.to_string exn)) ];
-  note_failure t key
-
-let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
-    ~reductions ~deadline_ms:requested_deadline =
-  let wall0 = Linalg.Clock.now () in
-  match Kernels.Registry.find kernel with
-  | exception Not_found ->
-    Protocol.error_response ~id ~code:"usage"
-      ~message:
-        (Printf.sprintf "unknown kernel %S (see `wisefuse list')" kernel)
-  | entry -> (
-    match Fusion.Model.of_name model_name with
-    | exception Not_found ->
-      Protocol.error_response ~id ~code:"usage"
-        ~message:(Printf.sprintf "unknown model %S" model_name)
-    | model -> (
-      match Pluto.Engine.of_string engine_name with
-      | None ->
-        Protocol.error_response ~id ~code:"usage"
-          ~message:
-            (Printf.sprintf
-               "unknown engine %S (expected \"ilp\", \"lp-dfp\" or \"auto\")"
-               engine_name)
-      | Some engine -> (
-      let n = Option.value size ~default:entry.Kernels.Registry.model_size in
-      match entry.Kernels.Registry.program ~n () with
-      | exception Invalid_argument msg ->
-        Protocol.error_response ~id ~code:"usage"
-          ~message:(Printf.sprintf "cannot build %s at size %d: %s" kernel n msg)
-      | prog ->
-        let key = Fingerprint.key ~engine ~reductions ~model prog in
-        let deadline_ms = effective_deadline t requested_deadline in
-        let args =
-          if Obs.Trace.on () then
-            [ ("kernel", Obs.Json.Str kernel);
-              ("model", Obs.Json.Str model_name);
-              ("engine", Obs.Json.Str (Pluto.Engine.choice_name engine));
-              ("key", Obs.Json.Str key) ]
-          else []
-        in
-        Obs.Trace.span ~cat:"serve" ~args "serve.request" (fun () ->
-            match Cache.find_quiet t.cache key with
-            | Some e ->
-              Cache.count_hit t.cache;
-              hit_response ~id ~key ~coalesced:false ~wall0 ?deadline_ms e
-            | None -> (
-              match Breaker.check t.breaker key with
-              | Breaker.Open remaining ->
-                if Obs.Trace.on () then
-                  Obs.Trace.instant ~cat:"serve" "serve.breaker"
-                    ~args:
-                      [ ("key", Obs.Json.Str key);
-                        ("state", Obs.Json.Str "reject") ];
-                Protocol.error_response ~id ~code:"breaker"
-                  ~message:
-                    (Printf.sprintf
-                       "circuit open for this fingerprint after repeated \
-                        failures (retry in %.1fs)"
-                       remaining)
-              | Breaker.Closed ->
-                Mutex.lock t.solver;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock t.solver)
-                  (fun () ->
-                    (* double-checked: someone may have solved this key
-                       while we waited for the lock *)
-                    match Cache.find_quiet t.cache key with
-                    | Some e ->
-                      Cache.count_hit t.cache;
-                      hit_response ~id ~key ~coalesced:true ~wall0 ?deadline_ms
-                        e
-                    | None -> (
-                      let budget =
-                        Option.map
-                          (fun ms -> Linalg.Budget.make ~ms ())
-                          deadline_ms
-                      in
-                      match
-                        Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
-                            let t0 = Linalg.Clock.now () in
-                            let payload, deps_fp, degraded =
-                              solve ?budget ~kernel ~model ~size:n ~engine
-                                ~reductions prog
-                            in
-                            ( payload,
-                              deps_fp,
-                              degraded,
-                              Linalg.Clock.elapsed_ms ~since:t0 ))
-                      with
-                      | payload, deps_fp, degraded, solve_ms ->
-                        Breaker.record_success t.breaker key;
-                        let engine_used =
-                          Option.value
-                            (Option.bind
-                               (Obs.Json.member "engine_used" payload)
-                               Obs.Json.to_string_opt)
-                            ~default:"none"
-                        in
-                        Telemetry.record_solve t.telemetry ~engine_used
-                          ~solve_ms;
-                        (* degraded = this request's deadline (or an
-                           injected fault) shaped the result; it is
-                           valid for this caller but must not be served
-                           to anyone else *)
-                        let cache_state =
-                          if degraded then "uncached"
-                          else begin
-                            Cache.add t.cache key ~payload ~deps_fp ~solve_ms;
-                            "miss"
-                          end
-                        in
-                        Cache.count_miss t.cache;
-                        let solver = solver_deltas () in
-                        let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
-                        Protocol.schedule_response ~id ~key ~cache_state
-                          ~serve:
-                            (Protocol.serve_section ?deadline_ms ~wall_us
-                               ~solver ())
-                          ~result:payload
-                      | exception Pluto.Diagnostics.Error d ->
-                        (* typed failure: deterministic for this content,
-                           so it feeds the breaker; the diagnostics path
-                           raises before mutating anything a reset-at-
-                           solve-start would not fix *)
-                        note_failure t key;
-                        Protocol.error_response ~id
-                          ~code:
-                            (Pluto.Diagnostics.phase_name
-                               d.Pluto.Diagnostics.phase
-                            ^ ":" ^ d.Pluto.Diagnostics.code)
-                          ~message:d.Pluto.Diagnostics.message
-                      | exception e ->
-                        (* the exception firewall: scrub global solver
-                           state before the lock is released, then
-                           answer typed instead of dying *)
-                        recover t ~key e;
-                        Protocol.error_response ~id ~code:"internal"
-                          ~message:(Printexc.to_string e))))))))
-
-let handle_request t ({ id; op } : Protocol.request) =
-  match op with
-  | Protocol.Ping -> Protocol.pong_response ~id
-  | Protocol.Stats ->
-    Protocol.stats_response ~id
-      ~uptime_s:(Linalg.Clock.now () -. t.started)
-      ~requests:(Atomic.get t.requests) (Cache.stats t.cache)
-  | Protocol.Health ->
-    let draining = Atomic.get t.stop in
-    let backlog = backlog t in
-    Protocol.health_response ~id
-      ~ready:((not draining) && backlog <= t.config.max_pending)
-      ~draining ~backlog ~max_pending:t.config.max_pending
-      ~breaker_open:(Breaker.open_count t.breaker)
-      ~uptime_s:(Linalg.Clock.now () -. t.started)
-      ~snapshot:(Telemetry.snapshot t.telemetry)
-      (Cache.stats t.cache)
-  | Protocol.Metrics ->
-    Protocol.metrics_response ~id ~text:(Telemetry.exposition t.telemetry)
-  | Protocol.Shutdown ->
-    (* idempotent: a second shutdown (op or signal) during drain finds
-       the flag already set and just answers again *)
-    Atomic.set t.stop true;
-    t.on_stop ();
-    Protocol.shutdown_response ~id
-  | Protocol.Schedule { kernel; size; model; engine; reductions; deadline_ms } ->
-    handle_schedule t ~id ~kernel ~size ~model ~engine ~reductions ~deadline_ms
-
-let oversized_error t ~id =
-  Protocol.error_response ~id ~code:"oversized"
-    ~message:
-      (Printf.sprintf "request line exceeds %d bytes" t.config.max_line_bytes)
-
-(* mirror the hardening tallies into the process-wide counters next to
-   the cache's sync *)
-let sync_hardening t =
-  Linalg.Counters.serve_shed := Atomic.get t.shed;
-  Linalg.Counters.serve_recovered := Atomic.get t.recovered;
-  Linalg.Counters.serve_breaker_trips := Breaker.trips t.breaker;
-  Linalg.Counters.serve_breaker_rejects := Breaker.rejects t.breaker
-
 (* --- per-request observability ------------------------------------------- *)
 
 (* splitmix64 finalizer over (start time, sequence number): unique,
@@ -555,23 +353,50 @@ let trace_json events =
     [ ("events", Obs.Json.Int (List.length events));
       ("spans", Obs.Json.List (List.rev !spans)) ]
 
+(* One answered line's bookkeeping: when it started, its sequence
+   number and whether that number samples a trace. *)
+type line = { wall0 : float; n : int; sampled : bool }
+
+let start_line t =
+  let n = Atomic.fetch_and_add t.seq 1 in
+  Atomic.incr t.requests;
+  {
+    wall0 = Linalg.Clock.now ();
+    n;
+    sampled = t.config.trace_sample > 0 && n mod t.config.trace_sample = 0;
+  }
+
+(* Run one step of a sampled line under a per-domain capture: a
+   concurrent sampled request on another domain records independently,
+   and the nested capture inside [solve] still composes. *)
+let captured (l : line) f =
+  if l.sampled then
+    let r, events = Obs.Trace.capture f in
+    (r, Some events)
+  else (f (), None)
+
+(* An answer ready for the wire: the envelope, and the pre-rendered
+   bytes of its "result" when that is a payload rendered once. *)
+type reply = { response : Obs.Json.t; result_bytes : string option }
+
+let plain response = { response; result_bytes = None }
+
 (* The single exit point for every answered line: stamp the sampled
    trace into the envelope, feed telemetry (outcome counters, latency
-   histograms) and the access log, render. The telemetry-off,
-   no-access-log path costs two loads and a float subtraction. *)
-let finish t ~wall0 ?trace response =
+   histograms) and the access log. Both read the envelope's tree, so a
+   reply that goes out as pre-rendered bytes is classified and logged
+   exactly like a rendered one. The telemetry-off, no-access-log path
+   costs two loads and a float subtraction. *)
+let finish t (l : line) ?events reply =
+  let trace = Option.map (fun ev -> (gen_trace_id t l.n, trace_json ev)) events in
   let response =
-    match trace with
-    | None -> response
-    | Some (tid, tr) -> (
-      match response with
-      | Obs.Json.Obj fields ->
-        Obs.Json.Obj
-          (fields @ [ ("trace_id", Obs.Json.Str tid); ("trace", tr) ])
-      | j -> j)
+    match (trace, reply.response) with
+    | Some (tid, tr), Obs.Json.Obj fields ->
+      Obs.Json.Obj (fields @ [ ("trace_id", Obs.Json.Str tid); ("trace", tr) ])
+    | _, j -> j
   in
   (if Telemetry.enabled t.telemetry || t.access <> None then begin
-     let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
+     let wall_us = Linalg.Clock.elapsed_us ~since:l.wall0 in
      let outcome = Telemetry.record_response t.telemetry ~wall_us response in
      match t.access with
      | None -> ()
@@ -580,79 +405,390 @@ let finish t ~wall0 ?trace response =
          (Access.render ~ts:(Unix.gettimeofday ()) ~wall_us
             ~trace_id:(Option.map fst trace) ~outcome response)
    end);
-  Protocol.to_line response
+  { reply with response }
 
-(* One request line in, one response line out (no trailing newline).
-   Blank lines are ignored. Never raises: anything unexpected becomes
-   an "internal" error envelope so the stream stays alive. This is the
-   admission boundary: oversized lines, drain rejections and overload
-   shedding are all decided here, before any solver work. *)
-let handle_line t line =
-  let wall0 = Linalg.Clock.now () in
-  if String.length line > t.config.max_line_bytes then begin
-    Atomic.incr t.requests;
-    ignore (Atomic.fetch_and_add t.seq 1);
-    Cache.sync_counters t.cache ~requests:(Atomic.get t.requests);
-    Some (finish t ~wall0 (oversized_error t ~id:Obs.Json.Null))
-  end
-  else
-    let line = String.trim line in
-    if line = "" then None
-    else begin
-      Atomic.incr t.requests;
-      Atomic.incr t.inflight;
-      let n = Atomic.fetch_and_add t.seq 1 in
-      let sampled =
-        t.config.trace_sample > 0 && n mod t.config.trace_sample = 0
-      in
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr t.inflight)
-        (fun () ->
-          let compute () =
-            match Protocol.parse_request line with
-            | Error pe ->
-              Protocol.error_response ~id:pe.Protocol.err_id
-                ~code:pe.Protocol.code ~message:pe.Protocol.message
-            | Ok req -> (
-              match req.Protocol.op with
-              | Protocol.Schedule _ when Atomic.get t.stop ->
-                Protocol.error_response ~id:req.Protocol.id ~code:"draining"
-                  ~message:"server is draining; schedule request rejected"
-              | Protocol.Schedule _ when backlog t > t.config.max_pending ->
-                Atomic.incr t.shed;
-                if Obs.Trace.on () then
-                  Obs.Trace.instant ~cat:"serve" "serve.shed"
-                    ~args:
-                      [ ("backlog", Obs.Json.Int (backlog t));
-                        ("max_pending", Obs.Json.Int t.config.max_pending) ];
-                Protocol.error_response ~id:req.Protocol.id ~code:"overloaded"
+(* [finish] for a line that was admitted: it leaves the in-flight
+   gauge once answered *)
+let settle t l ?events reply =
+  Fun.protect
+    ~finally:(fun () -> Atomic.decr t.inflight)
+    (fun () -> finish t l ?events reply)
+
+(* One reply line to a channel, flushed. A payload's pre-rendered bytes
+   go out as they are, so the line is [Protocol.to_line] of the
+   envelope without rendering the payload again. *)
+let output_reply oc r =
+  (match r.result_bytes with
+  | None -> output_string oc (Protocol.to_line r.response)
+  | Some bytes -> Obs.Json.output_spliced oc ~name:"result" ~bytes r.response);
+  output_char oc '\n';
+  flush oc
+
+(* --- request handling ---------------------------------------------------- *)
+
+let solver_deltas () =
+  let all = Linalg.Counters.all_counters () in
+  List.map
+    (fun n -> (n, Option.value (List.assoc_opt n all) ~default:0))
+    Protocol.solver_counter_names
+
+(* The deadline a request actually solves under: the client's ask,
+   capped — or the server default when the client sent none. *)
+let effective_deadline t requested =
+  match requested with
+  | Some d -> Some (min d t.config.max_deadline_ms)
+  | None -> t.config.default_deadline_ms
+
+let hit_reply ~id ~key ~coalesced ~wall0 ?deadline_ms (e : Cache.entry) =
+  if Obs.Trace.on () then
+    Obs.Trace.instant ~cat:"serve" "serve.cache-hit"
+      ~args:
+        [ ("key", Obs.Json.Str key); ("coalesced", Obs.Json.Bool coalesced) ];
+  let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
+  {
+    response =
+      Protocol.schedule_response ~id ~key ~cache_state:"hit"
+        ~serve:
+          (Protocol.serve_section ~coalesced ?deadline_ms ~wall_us
+             ~solver:Protocol.zero_solver ())
+        ~result:e.Cache.payload;
+    result_bytes = Some e.Cache.rendered;
+  }
+
+(* A solve failure (typed diagnostic or firewalled exception) feeds the
+   per-fingerprint breaker; crossing the threshold opens it. *)
+let note_failure t key =
+  if Breaker.record_failure t.breaker key && Obs.Trace.on () then
+    Obs.Trace.instant ~cat:"serve" "serve.breaker"
+      ~args:[ ("key", Obs.Json.Str key); ("state", Obs.Json.Str "open") ]
+
+(* Poisoned-state recovery: an exception escaped the solve path, so the
+   process-wide solver state is suspect (half-bumped counters, a
+   partially filled Farkas memo). Scrub everything back to the baseline
+   every cold solve starts from, while the solver lock is still held —
+   the next solve provably sees clean state. The trace sink needs no
+   repair here: [Obs.Trace.capture] restores it on exceptions. *)
+let recover t ~key exn =
+  Linalg.Counters.reset ();
+  Pluto.Farkas.reset_cache ();
+  Atomic.incr t.recovered;
+  if Obs.Trace.on () then
+    Obs.Trace.instant ~cat:"serve" "serve.recovered"
+      ~args:
+        [ ("key", Obs.Json.Str key);
+          ("exn", Obs.Json.Str (Printexc.to_string exn)) ];
+  note_failure t key
+
+(* The name -> key memo, bounded by the cache capacity: a full memo is
+   emptied and refills from the requests that follow. *)
+let memo_locked t f =
+  Mutex.lock t.names_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.names_lock) f
+
+let memo_find t names = memo_locked t (fun () -> Hashtbl.find_opt t.names names)
+
+let memo_add t names key =
+  memo_locked t (fun () ->
+      if Hashtbl.length t.names >= t.config.cache_capacity then
+        Hashtbl.reset t.names;
+      Hashtbl.replace t.names names key)
+
+let memo_size t = memo_locked t (fun () -> Hashtbl.length t.names)
+
+(* Validate a schedule request's names, build its program and
+   fingerprint it; [Error] carries a usage message. *)
+let resolve ~kernel ~size ~model:model_name ~engine:engine_name ~reductions =
+  match Kernels.Registry.find kernel with
+  | exception Not_found ->
+    Error (Printf.sprintf "unknown kernel %S (see `wisefuse list')" kernel)
+  | entry -> (
+    match Fusion.Model.of_name model_name with
+    | exception Not_found -> Error (Printf.sprintf "unknown model %S" model_name)
+    | model -> (
+      match Pluto.Engine.of_string engine_name with
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown engine %S (expected \"ilp\", \"lp-dfp\" or \"auto\")"
+             engine_name)
+      | Some engine -> (
+        let n = Option.value size ~default:entry.Kernels.Registry.model_size in
+        match entry.Kernels.Registry.program ~n () with
+        | exception Invalid_argument msg ->
+          Error (Printf.sprintf "cannot build %s at size %d: %s" kernel n msg)
+        | prog ->
+          Ok (model, engine, n, prog, Fingerprint.key ~engine ~reductions ~model prog))))
+
+(* A cache miss handed from [admit] to [solve]. *)
+type miss = {
+  line : line;
+  id : Obs.Json.t;
+  kernel : string;
+  model : Fusion.Model.t;
+  size : int;
+  engine : Pluto.Engine.choice;
+  reductions : bool;
+  deadline_ms : int option;
+  prog : Scop.Program.t;
+  key : string;
+}
+
+type admitted = Answer of reply | Miss of miss
+
+let admit_schedule t (line : line) ~id ~kernel ~size ~model ~engine ~reductions
+    ~deadline_ms:requested =
+  let deadline_ms = effective_deadline t requested in
+  let names = (kernel, size, model, engine, reductions) in
+  let probe key = Option.map (fun e -> (key, e)) (Cache.find_quiet t.cache key) in
+  let hit (key, e) =
+    let args =
+      if Obs.Trace.on () then
+        [ ("kernel", Obs.Json.Str kernel); ("model", Obs.Json.Str model);
+          ("engine", Obs.Json.Str engine); ("key", Obs.Json.Str key) ]
+      else []
+    in
+    Obs.Trace.span ~cat:"serve" ~args "serve.request" (fun () ->
+        Cache.count_hit t.cache;
+        Answer
+          (hit_reply ~id ~key ~coalesced:false ~wall0:line.wall0 ?deadline_ms e))
+  in
+  match Option.bind (memo_find t names) probe with
+  | Some found -> hit found
+  | None -> (
+    match resolve ~kernel ~size ~model ~engine ~reductions with
+    | Error message -> Answer (plain (Protocol.error_response ~id ~code:"usage" ~message))
+    | Ok (model, engine, n, prog, key) -> (
+      memo_add t names key;
+      match probe key with
+      | Some found -> hit found
+      | None -> (
+        match Breaker.check t.breaker key with
+        | Breaker.Open remaining ->
+          if Obs.Trace.on () then
+            Obs.Trace.instant ~cat:"serve" "serve.breaker"
+              ~args:
+                [ ("key", Obs.Json.Str key); ("state", Obs.Json.Str "reject") ];
+          Answer
+            (plain
+               (Protocol.error_response ~id ~code:"breaker"
                   ~message:
                     (Printf.sprintf
-                       "backlog %d over high-water mark %d; retry later"
-                       (backlog t) t.config.max_pending)
-              | _ -> (
-                try handle_request t req
-                with e ->
-                  (* last-resort firewall for non-solve surprises (the
-                     solve path recovered state already if it raised
-                     past its own handler) *)
-                  Protocol.error_response ~id:req.Protocol.id ~code:"internal"
-                    ~message:(Printexc.to_string e)))
-          in
-          let response, trace =
-            if sampled then begin
-              (* per-domain capture: concurrent sampled requests on
-                 other domains record independently, and the nested
-                 capture inside [solve] still composes *)
-              let resp, events = Obs.Trace.capture compute in
-              (resp, Some (gen_trace_id t n, trace_json events))
-            end
-            else (compute (), None)
-          in
-          Cache.sync_counters t.cache ~requests:(Atomic.get t.requests);
-          sync_hardening t;
-          Some (finish t ~wall0 ?trace response))
+                       "circuit open for this fingerprint after repeated \
+                        failures (retry in %.1fs)"
+                       remaining)))
+        | Breaker.Closed ->
+          Miss
+            { line; id; kernel; model; size = n; engine; reductions;
+              deadline_ms; prog; key })))
+
+let admit_op t line ({ id; op } : Protocol.request) =
+  let answer response = Answer (plain response) in
+  match op with
+  | Protocol.Ping -> answer (Protocol.pong_response ~id)
+  | Protocol.Stats ->
+    answer
+      (Protocol.stats_response ~id
+         ~uptime_s:(Linalg.Clock.now () -. t.started)
+         ~requests:(Atomic.get t.requests) (Cache.stats t.cache))
+  | Protocol.Health ->
+    let draining = Atomic.get t.stop in
+    let backlog = backlog t in
+    answer
+      (Protocol.health_response ~id
+         ~ready:((not draining) && backlog <= t.config.max_pending)
+         ~draining ~backlog ~max_pending:t.config.max_pending
+         ~breaker_open:(Breaker.open_count t.breaker)
+         ~uptime_s:(Linalg.Clock.now () -. t.started)
+         ~snapshot:(Telemetry.snapshot t.telemetry)
+         (Cache.stats t.cache))
+  | Protocol.Metrics ->
+    answer (Protocol.metrics_response ~id ~text:(Telemetry.exposition t.telemetry))
+  | Protocol.Shutdown ->
+    (* idempotent: a second shutdown (op or signal) during drain finds
+       the flag already set and just answers again *)
+    Atomic.set t.stop true;
+    t.on_stop ();
+    answer (Protocol.shutdown_response ~id)
+  | Protocol.Schedule _ when Atomic.get t.stop ->
+    answer
+      (Protocol.error_response ~id ~code:"draining"
+         ~message:"server is draining; schedule request rejected")
+  | Protocol.Schedule _ when backlog t > t.config.max_pending ->
+    Atomic.incr t.shed;
+    if Obs.Trace.on () then
+      Obs.Trace.instant ~cat:"serve" "serve.shed"
+        ~args:
+          [ ("backlog", Obs.Json.Int (backlog t));
+            ("max_pending", Obs.Json.Int t.config.max_pending) ];
+    answer
+      (Protocol.error_response ~id ~code:"overloaded"
+         ~message:
+           (Printf.sprintf "backlog %d over high-water mark %d; retry later"
+              (backlog t) t.config.max_pending))
+  | Protocol.Schedule { kernel; size; model; engine; reductions; deadline_ms } ->
+    admit_schedule t line ~id ~kernel ~size ~model ~engine ~reductions
+      ~deadline_ms
+
+let oversized_reply t =
+  let l = start_line t in
+  finish t { l with sampled = false }
+    (plain
+       (Protocol.error_response ~id:Obs.Json.Null ~code:"oversized"
+          ~message:
+            (Printf.sprintf "request line exceeds %d bytes"
+               t.config.max_line_bytes)))
+
+(* Step one for a request line: everything short of a cold solve.
+   Blank lines are ignored ([None]). Never raises: anything unexpected
+   becomes an "internal" error envelope so the stream stays alive. This
+   is the admission boundary: oversized lines, drain rejections and
+   overload shedding are all decided here, before any solver work. An
+   [Answer] is finished (traced, counted, logged); a [Miss] stays in
+   flight until [answer_miss] answers it. *)
+let admit t line =
+  if String.length line > t.config.max_line_bytes then
+    Some (Answer (oversized_reply t))
+  else
+    let text = String.trim line in
+    if text = "" then None
+    else begin
+      Atomic.incr t.inflight;
+      let l = start_line t in
+      let step, events =
+        captured l (fun () ->
+            match Protocol.parse_request text with
+            | Error pe ->
+              Answer
+                (plain
+                   (Protocol.error_response ~id:pe.Protocol.err_id
+                      ~code:pe.Protocol.code ~message:pe.Protocol.message))
+            | Ok req -> (
+              try admit_op t l req
+              with e ->
+                (* last-resort firewall for non-solve surprises *)
+                Answer
+                  (plain
+                     (Protocol.error_response ~id:req.Protocol.id
+                        ~code:"internal" ~message:(Printexc.to_string e)))))
+      in
+      match step with
+      | Answer r -> Some (Answer (settle t l ?events r))
+      | Miss _ as m -> Some m (* a sampled miss is traced by its solve *)
     end
+
+(* Step two: the cold solve of a miss, under the solver lock. *)
+let solve_miss t (m : miss) =
+  let args =
+    if Obs.Trace.on () then
+      [ ("kernel", Obs.Json.Str m.kernel);
+        ("model", Obs.Json.Str (Fusion.Model.name m.model));
+        ("engine", Obs.Json.Str (Pluto.Engine.choice_name m.engine));
+        ("key", Obs.Json.Str m.key) ]
+    else []
+  in
+  let { id; key; deadline_ms; _ } = m in
+  let wall0 = m.line.wall0 in
+  Obs.Trace.span ~cat:"serve" ~args "serve.request" (fun () ->
+      Mutex.lock t.solver;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.solver)
+        (fun () ->
+          (* double-checked: someone may have solved this key while we
+             waited for the lock *)
+          match Cache.find_quiet t.cache key with
+          | Some e ->
+            Cache.count_hit t.cache;
+            hit_reply ~id ~key ~coalesced:true ~wall0 ?deadline_ms e
+          | None -> (
+            let budget =
+              Option.map (fun ms -> Linalg.Budget.make ~ms ()) deadline_ms
+            in
+            match
+              Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
+                  let t0 = Linalg.Clock.now () in
+                  let payload, deps_fp, degraded =
+                    solve ?budget ~kernel:m.kernel ~model:m.model ~size:m.size
+                      ~engine:m.engine ~reductions:m.reductions m.prog
+                  in
+                  (payload, deps_fp, degraded, Linalg.Clock.elapsed_ms ~since:t0))
+            with
+            | payload, deps_fp, degraded, solve_ms ->
+              Breaker.record_success t.breaker key;
+              let engine_used =
+                Option.value
+                  (Option.bind
+                     (Obs.Json.member "engine_used" payload)
+                     Obs.Json.to_string_opt)
+                  ~default:"none"
+              in
+              Telemetry.record_solve t.telemetry ~engine_used ~solve_ms;
+              (* degraded = this request's deadline (or an injected
+                 fault) shaped the result; it is valid for this caller
+                 but must not be served to anyone else. A stored payload
+                 goes out as the bytes the cache rendered. *)
+              let cache_state, result_bytes =
+                if degraded then ("uncached", None)
+                else begin
+                  Cache.add t.cache key ~payload ~deps_fp ~solve_ms;
+                  ( "miss",
+                    Option.map
+                      (fun (e : Cache.entry) -> e.rendered)
+                      (Cache.find_quiet t.cache key) )
+                end
+              in
+              Cache.count_miss t.cache;
+              let solver = solver_deltas () in
+              let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
+              {
+                response =
+                  Protocol.schedule_response ~id ~key ~cache_state
+                    ~serve:(Protocol.serve_section ?deadline_ms ~wall_us ~solver ())
+                    ~result:payload;
+                result_bytes;
+              }
+            | exception Pluto.Diagnostics.Error d ->
+              (* typed failure: deterministic for this content, so it
+                 feeds the breaker; the diagnostics path raises before
+                 mutating anything a reset-at-solve-start would not fix *)
+              note_failure t key;
+              plain
+                (Protocol.error_response ~id
+                   ~code:
+                     (Pluto.Diagnostics.phase_name d.Pluto.Diagnostics.phase
+                     ^ ":" ^ d.Pluto.Diagnostics.code)
+                   ~message:d.Pluto.Diagnostics.message)
+            | exception e ->
+              (* the exception firewall: scrub global solver state
+                 before the lock is released, then answer typed instead
+                 of dying *)
+              recover t ~key e;
+              plain
+                (Protocol.error_response ~id ~code:"internal"
+                   ~message:(Printexc.to_string e)))))
+
+(* Answer an admitted miss: solve it, then finish the line. Never
+   raises. *)
+let answer_miss t (m : miss) =
+  let r, events =
+    captured m.line (fun () ->
+        try solve_miss t m
+        with e ->
+          plain
+            (Protocol.error_response ~id:m.id ~code:"internal"
+               ~message:(Printexc.to_string e)))
+  in
+  settle t m.line ?events r
+
+(* Both steps in sequence — the synchronous paths. *)
+let answer t line =
+  match admit t line with
+  | None -> None
+  | Some (Answer r) -> Some r
+  | Some (Miss m) -> Some (answer_miss t m)
+
+(* One request line in, one response line out (no trailing newline). *)
+let handle_line t line =
+  Option.map (fun r -> Protocol.to_line r.response) (answer t line)
 
 (* --- serving loops ------------------------------------------------------- *)
 
@@ -679,16 +815,6 @@ let read_line_bounded ic ~max =
   in
   go false
 
-(* the response line for an input the reader refused to buffer — still
-   routed through [finish] so it is counted and access-logged like
-   every other answered line *)
-let oversized_line t =
-  let wall0 = Linalg.Clock.now () in
-  Atomic.incr t.requests;
-  ignore (Atomic.fetch_and_add t.seq 1);
-  Cache.sync_counters t.cache ~requests:(Atomic.get t.requests);
-  finish t ~wall0 (oversized_error t ~id:Obs.Json.Null)
-
 (* Both SIGTERM and SIGINT mean: stop taking work, finish what is in
    flight, clean up, exit 0 — the contract the CI serve job asserts. A
    second signal during the drain is tolerated (logged, no raise, no
@@ -713,75 +839,68 @@ let install_drain_signals ?(immediate = false) t cleanup =
       with Invalid_argument _ -> ())
     [ (Sys.sigterm, "SIGTERM"); (Sys.sigint, "SIGINT") ]
 
-let emit_locked t oc line =
-  Mutex.lock t.out;
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  Mutex.unlock t.out
-
-let serve_stdio t =
-  install_drain_signals ~immediate:true t (fun () -> close t);
-  let max = t.config.max_line_bytes in
+let serve_channels t ic oc =
+  let read () =
+    if Atomic.get t.stop then `Eof
+    else read_line_bounded ic ~max:t.config.max_line_bytes
+  in
   if t.config.domains <= 1 then begin
     (* synchronous: responses come back in request order *)
     let rec loop () =
-      if not (Atomic.get t.stop) then
-        match read_line_bounded stdin ~max with
-        | `Eof -> ()
-        | `Oversized ->
-          print_string (oversized_line t);
-          print_newline ();
-          flush stdout;
-          loop ()
-        | `Line line ->
-          (match handle_line t line with
-          | None -> ()
-          | Some r ->
-            print_string r;
-            print_newline ();
-            flush stdout);
-          loop ()
+      match read () with
+      | `Eof -> ()
+      | `Oversized ->
+        output_reply oc (oversized_reply t);
+        loop ()
+      | `Line line ->
+        Option.iter (output_reply oc) (answer t line);
+        loop ()
     in
-    loop ();
-    close t
+    loop ()
   end
   else begin
-    (* pool: N domains drain a shared line queue; responses may
-       interleave out of order (envelopes carry the request id) *)
-    let jobs = Bqueue.create () in
+    (* the reader answers all it can; N domains solve the misses.
+       Responses may interleave out of request order (envelopes carry
+       the request id). *)
+    let emit r =
+      Mutex.lock t.out;
+      Fun.protect ~finally:(fun () -> Mutex.unlock t.out) (fun () ->
+          output_reply oc r)
+    in
+    let misses = Bqueue.create () in
     let worker () =
       let rec loop () =
-        match Bqueue.pop jobs with
+        match Bqueue.pop misses with
         | None -> ()
-        | Some line ->
-          Atomic.decr t.queued;
-          (match handle_line t line with
-          | None -> ()
-          | Some r -> emit_locked t stdout r);
+        | Some m ->
+          emit (answer_miss t m);
           loop ()
       in
       loop ()
     in
     let workers = List.init t.config.domains (fun _ -> Domain.spawn worker) in
     let rec feed () =
-      if not (Atomic.get t.stop) then
-        match read_line_bounded stdin ~max with
-        | `Eof -> ()
-        | `Oversized ->
-          (* answered inline: the pool never sees the line *)
-          emit_locked t stdout (oversized_line t);
-          feed ()
-        | `Line line ->
-          Atomic.incr t.queued;
-          Bqueue.push jobs line;
-          feed ()
+      match read () with
+      | `Eof -> ()
+      | `Oversized ->
+        emit (oversized_reply t);
+        feed ()
+      | `Line line ->
+        (match admit t line with
+        | None -> ()
+        | Some (Answer r) -> emit r
+        | Some (Miss m) -> Bqueue.push misses m);
+        feed ()
     in
     feed ();
-    Bqueue.close jobs;
-    List.iter Domain.join workers;
-    close t
-  end
+    Bqueue.close misses;
+    List.iter Domain.join workers
+  end;
+  close t
+
+let serve_stdio t =
+  install_drain_signals ~immediate:true t (fun () -> close t);
+  serve_channels t stdin stdout
 
 (* Live connections, so a drain can unblock workers parked in a read:
    shutting down the receive side delivers EOF to the worker, which
@@ -819,17 +938,10 @@ let handle_conn t registry fd =
        match read_line_bounded ic ~max:t.config.max_line_bytes with
        | `Eof -> ()
        | `Oversized ->
-         output_string oc (oversized_line t);
-         output_char oc '\n';
-         flush oc;
+         output_reply oc (oversized_reply t);
          if not (Atomic.get t.stop) then loop ()
        | `Line line ->
-         (match handle_line t line with
-         | None -> ()
-         | Some r ->
-           output_string oc r;
-           output_char oc '\n';
-           flush oc);
+         Option.iter (output_reply oc) (answer t line);
          if not (Atomic.get t.stop) then loop ()
      in
      loop ()

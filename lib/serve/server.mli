@@ -3,15 +3,27 @@
     Line-delimited JSON requests (stdio or a Unix socket) are keyed by
     {!Fingerprint} and answered from the content-addressed {!Cache}; a
     miss runs the full certified pipeline (optimize under a nested
-    trace capture + wisecheck) and stores the payload for every later
-    request with the same content.
+    trace capture + wisecheck) and stores the payload, rendered once,
+    for every later request with the same content.
 
-    Concurrency: cache hits and protocol ops are served concurrently by
-    any number of OCaml 5 domains; cold solves serialize under one
-    solver lock (the exact-arithmetic pipeline keeps process-wide
-    state), which also makes the per-request counter deltas in each
-    response exact — hits provably perform zero LP pivots and zero B&B
-    nodes. Concurrent misses for the same key coalesce into one solve.
+    Each line is {e admitted} (parsed, admission-checked, protocol ops
+    and usage/breaker errors answered, the cache probed) and only a
+    miss is {e solved}. A name memo (kernel, size, model, engine,
+    reductions to key, bounded by [config.cache_capacity]) lets a
+    repeated request skip the program build and the fingerprint.
+
+    Concurrency: with [config.domains > 1] on stdio, the reading domain
+    admits every line and writes every answer it can — a hit streams
+    its envelope around the cached payload's pre-rendered bytes and
+    never waits behind a cold solve — while a pool of worker domains
+    solves the misses. The synchronous paths ([domains = 1], and each
+    socket connection) admit then solve in sequence. Cold solves
+    serialize under one solver lock (the exact-arithmetic pipeline
+    keeps process-wide state), which also makes the per-request counter
+    deltas in each response exact — hits provably perform zero LP
+    pivots and zero B&B nodes, and a cold payload's counters are its
+    own solve's alone. Concurrent misses for the same key coalesce
+    into one solve.
 
     Hardening: every request solves under a fresh deadline budget
     (client ["deadline_ms"], server default/cap) and degrades down the
@@ -87,12 +99,18 @@ val close : t -> unit
 (** Has a shutdown request (or drain signal) been processed? *)
 val stopping : t -> bool
 
-(** The pending-work gauge: requests in flight plus lines/connections
-    queued for the worker pool. *)
+(** The pending-work gauge: requests in flight (admitted and not yet
+    answered, queued misses included) plus socket connections waiting
+    for a worker. *)
 val backlog : t -> int
 
-(** [handle_line t line] handles one request line and returns the
-    response line (no trailing newline), or [None] for blank input.
+(** Entries in the name memo; never more than [config.cache_capacity]
+    (for tests). *)
+val memo_size : t -> int
+
+(** [handle_line t line] admits one request line, solves it if it
+    missed, and returns the response line (no trailing newline), or
+    [None] for blank input.
     Never raises — internal failures become ["internal"] error
     envelopes (with the solver state scrubbed first). Safe to call from
     concurrent domains; this is also the entry point the tests and the
@@ -106,11 +124,17 @@ val handle_line : t -> string -> string option
 val read_line_bounded :
   in_channel -> max:int -> [ `Line of string | `Oversized | `Eof ]
 
-(** Serve requests from stdin to stdout until EOF or a shutdown
-    request. With [config.domains > 1], a domain pool drains the input
-    and responses may interleave out of request order (envelopes carry
-    the request id). SIGTERM/SIGINT exit 0 (the blocking stdin read
-    cannot observe a drain flag). *)
+(** [serve_channels t ic oc] serves request lines from [ic], writing
+    one response line each to [oc], until EOF or a shutdown request;
+    then it closes [t] (not the channels). With [config.domains > 1]
+    the calling domain answers everything but cold solves itself, hits
+    included, while [config.domains] worker domains solve the misses;
+    responses may then come out of request order (envelopes carry the
+    request id). *)
+val serve_channels : t -> in_channel -> out_channel -> unit
+
+(** [serve_channels] over stdin and stdout. SIGTERM/SIGINT exit 0 (the
+    blocking stdin read cannot observe a drain flag). *)
 val serve_stdio : t -> unit
 
 (** Listen on a Unix domain socket ([path] is created, and removed on

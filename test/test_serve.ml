@@ -22,13 +22,15 @@ let request_line ?(size = test_size) ?(model = "wisefuse") ~id kernel =
        [ ("id", Obs.Json.Int id); ("kernel", Obs.Json.Str kernel);
          ("model", Obs.Json.Str model); ("size", Obs.Json.Int size) ])
 
+let parse_line r =
+  match Obs.Json.parse r with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "unparseable response %s: %s" r m
+
 let respond t line =
   match Serve.Server.handle_line t line with
   | None -> Alcotest.fail "daemon returned nothing for a request"
-  | Some r -> (
-    match Obs.Json.parse r with
-    | Ok j -> (r, j)
-    | Error m -> Alcotest.failf "unparseable response %s: %s" r m)
+  | Some r -> (r, parse_line r)
 
 let field j name =
   match Obs.Json.member name j with
@@ -40,53 +42,121 @@ let str_field j name =
   | Some s -> s
   | None -> Alcotest.failf "%S not a string" name
 
+(* a sample of the server's own metrics scrape, e.g. "wisefuse_shed_total" *)
+let scraped t name =
+  let text = Serve.Telemetry.exposition (Serve.Server.telemetry t) in
+  match
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> float_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "scrape lacks %s" name
+
+(* A daemon on pipes: [serve_channels] runs in its own domain exactly
+   as [serve --stdio] runs over stdin/stdout. [send] writes one request
+   line, [recv] reads one response line. Closing the input at the end
+   is EOF for the daemon, which drains and returns. *)
+let with_pipe_server ?(config = Serve.Server.default_config) f =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let t = Serve.Server.create ~config () in
+  let daemon =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr in_r in
+        let oc = Unix.out_channel_of_descr out_w in
+        Fun.protect
+          ~finally:(fun () ->
+            close_in_noerr ic;
+            close_out_noerr oc)
+          (fun () -> Serve.Server.serve_channels t ic oc))
+  in
+  let to_d = Unix.out_channel_of_descr in_w in
+  let from_d = Unix.in_channel_of_descr out_r in
+  let send line =
+    output_string to_d line;
+    output_char to_d '\n';
+    flush to_d
+  in
+  let recv () = input_line from_d in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr to_d;
+      close_in_noerr from_d;
+      try Domain.join daemon with _ -> ())
+    (fun () -> f t ~send ~recv)
+
+let pool = { Serve.Server.default_config with domains = 2 }
+
 (* --- warm vs cold: byte identity over the whole registry ----------------- *)
 
+(* Driven over pipes with a worker pool, so every hit is answered by the
+   reading domain from the cached payload's pre-rendered bytes. *)
 let test_warm_cold_identical () =
-  let t = Serve.Server.create () in
-  let id = ref 0 in
-  List.iter
-    (fun kernel ->
+  with_pipe_server ~config:pool (fun t ~send ~recv ->
+      let id = ref 0 in
       List.iter
-        (fun model ->
-          incr id;
-          let line = request_line ~id:!id ~model kernel in
-          let _, cold = respond t line in
-          let _, warm = respond t line in
-          Alcotest.(check string)
-            (kernel ^ "/" ^ model ^ " cold is a miss")
-            "miss" (str_field cold "cache");
-          Alcotest.(check string)
-            (kernel ^ "/" ^ model ^ " warm is a hit")
-            "hit" (str_field warm "cache");
-          Alcotest.(check string)
-            (kernel ^ "/" ^ model ^ " same key")
-            (str_field cold "key") (str_field warm "key");
-          (* the contract: the cached "result" renders to exactly the
-             bytes the cold solve produced *)
-          Alcotest.(check string)
-            (kernel ^ "/" ^ model ^ " byte-identical result")
-            (Obs.Json.to_string (field cold "result"))
-            (Obs.Json.to_string (field warm "result"));
-          (* and the hit performed zero solver work *)
-          let serve = field warm "serve" in
+        (fun kernel ->
           List.iter
-            (fun c ->
-              match Obs.Json.to_int_opt (field serve c) with
-              | Some 0 -> ()
-              | v ->
-                Alcotest.failf "%s/%s hit %s = %s" kernel model c
-                  (match v with Some n -> string_of_int n | None -> "?"))
-            [ "lp_solves"; "lp_pivots"; "dual_pivots"; "ilp_solves"; "bb_nodes" ])
-        model_names)
-    kernels;
-  let s = Cache.stats (Serve.Server.cache t) in
-  Alcotest.(check int) "one miss per pair"
-    (List.length kernels * List.length models)
-    s.Cache.misses;
-  Alcotest.(check int) "one hit per pair"
-    (List.length kernels * List.length models)
-    s.Cache.hits
+            (fun model ->
+              incr id;
+              let line = request_line ~id:!id ~model kernel in
+              let pair = kernel ^ "/" ^ model in
+              send line;
+              let cold = parse_line (recv ()) in
+              send line;
+              let warm_line = recv () in
+              let warm = parse_line warm_line in
+              Alcotest.(check string) (pair ^ " cold is a miss") "miss"
+                (str_field cold "cache");
+              Alcotest.(check string) (pair ^ " warm is a hit") "hit"
+                (str_field warm "cache");
+              let key = str_field cold "key" in
+              Alcotest.(check string) (pair ^ " same key") key
+                (str_field warm "key");
+              (* the contract: the cached "result" renders to exactly the
+                 bytes the cold solve produced *)
+              Alcotest.(check string)
+                (pair ^ " byte-identical result")
+                (Obs.Json.to_string (field cold "result"))
+                (Obs.Json.to_string (field warm "result"));
+              (* the streamed hit line is the rendering of its envelope,
+                 with the cached payload tree as its result *)
+              (match Cache.find_quiet (Serve.Server.cache t) key with
+              | None -> Alcotest.failf "%s not cached" pair
+              | Some e ->
+                Alcotest.(check string)
+                  (pair ^ " hit line = Protocol.to_line of its envelope")
+                  (Serve.Protocol.to_line
+                     (Serve.Protocol.schedule_response ~id:(field warm "id")
+                        ~key ~cache_state:"hit" ~serve:(field warm "serve")
+                        ~result:e.Cache.payload))
+                  warm_line);
+              (* and the hit performed zero solver work *)
+              let serve = field warm "serve" in
+              List.iter
+                (fun c ->
+                  match Obs.Json.to_int_opt (field serve c) with
+                  | Some 0 -> ()
+                  | v ->
+                    Alcotest.failf "%s hit %s = %s" pair c
+                      (match v with Some n -> string_of_int n | None -> "?"))
+                [ "lp_solves"; "lp_pivots"; "dual_pivots"; "ilp_solves";
+                  "bb_nodes" ])
+            model_names)
+        kernels;
+      let s = Cache.stats (Serve.Server.cache t) in
+      Alcotest.(check int) "one miss per pair"
+        (List.length kernels * List.length models)
+        s.Cache.misses;
+      Alcotest.(check int) "one hit per pair"
+        (List.length kernels * List.length models)
+        s.Cache.hits)
 
 (* --- fingerprints --------------------------------------------------------- *)
 
@@ -234,7 +304,7 @@ let test_cache_lru_eviction () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "capacity 0 must be rejected"
 
-let test_cache_counting_and_sync () =
+let test_cache_counting () =
   let c = Cache.create ~capacity:4 in
   ignore (Cache.find c "absent");
   Cache.add c "k" ~payload:(payload "k") ~deps_fp:"d" ~solve_ms:1.0;
@@ -244,12 +314,26 @@ let test_cache_counting_and_sync () =
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 2 s.Cache.hits;
   Alcotest.(check int) "misses" 1 s.Cache.misses;
-  Cache.sync_counters c ~requests:3;
-  Alcotest.(check int) "counter hits" 2 !Linalg.Counters.serve_cache_hits;
-  Alcotest.(check int) "counter misses" 1 !Linalg.Counters.serve_cache_misses;
-  Alcotest.(check int) "counter requests" 3 !Linalg.Counters.serve_requests;
+  (match Cache.find_quiet c "k" with
+  | Some e ->
+    Alcotest.(check string) "rendered once at insert"
+      (Obs.Json.to_string e.Cache.payload) e.Cache.rendered
+  | None -> Alcotest.fail "k vanished");
+  (* the tallies live in the cache alone: the per-solve reset of the
+     pipeline counters does not touch them *)
   Linalg.Counters.reset ();
-  Alcotest.(check int) "reset clears" 0 !Linalg.Counters.serve_cache_hits
+  let s = Cache.stats c in
+  Alcotest.(check int) "hits survive a counter reset" 2 s.Cache.hits;
+  Alcotest.(check int) "misses survive a counter reset" 1 s.Cache.misses;
+  (* the server counts requests; its stats op reports them *)
+  let t = Serve.Server.create () in
+  ignore (Serve.Server.handle_line t {|{"id": 1, "op": "ping"}|});
+  ignore (Serve.Server.handle_line t {|{"id": 2, "op": "ping"}|});
+  let _, j = respond t {|{"id": 3, "op": "stats"}|} in
+  Alcotest.(check bool) "stats counts requests" true
+    (Obs.Json.to_int_opt (field (field j "stats") "requests") = Some 3);
+  Alcotest.(check int) "telemetry counts requests" 3
+    (Serve.Telemetry.requests_total (Serve.Server.telemetry t))
 
 (* --- concurrent serving under 4 domains ----------------------------------- *)
 
@@ -261,16 +345,27 @@ let test_concurrent_domains () =
       ("tce", "smartfuse") ]
   in
   let per_domain = 30 in
+  (* the workers only collect replies: Alcotest's checks are not safe
+     to call from several domains at once *)
   let worker d () =
     List.init per_domain (fun i ->
         let kernel, model = List.nth pop ((d + i) mod List.length pop) in
-        let line = request_line ~id:((d * 1000) + i) ~model kernel in
-        let _, j = respond t line in
-        Alcotest.(check string) "ok" "ok" (str_field j "status");
-        (str_field j "key", Obs.Json.to_string (field j "result")))
+        Serve.Server.handle_line t
+          (request_line ~id:((d * 1000) + i) ~model kernel))
   in
   let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
-  let results = List.concat_map Domain.join domains in
+  let results =
+    List.map
+      (fun reply ->
+        let j =
+          match reply with
+          | Some r -> parse_line r
+          | None -> Alcotest.fail "daemon returned nothing for a request"
+        in
+        Alcotest.(check string) "ok" "ok" (str_field j "status");
+        (str_field j "key", Obs.Json.to_string (field j "result")))
+      (List.concat_map Domain.join domains)
+  in
   (* every response for a given key rendered identical bytes *)
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -407,13 +502,10 @@ let test_firewall_recovery () =
       (* the poison the fault planted in the counters must be gone *)
       List.iter
         (fun (n, v) ->
-          if
-            (not (String.length n >= 6 && String.sub n 0 6 = "serve_"))
-            && v <> 0
-          then Alcotest.failf "counter %s = %d after recovery" n v)
+          if v <> 0 then Alcotest.failf "counter %s = %d after recovery" n v)
         (Linalg.Counters.all_counters ());
       Alcotest.(check int) "firewall counted the recovery" 1
-        !Linalg.Counters.serve_recovered;
+        (scraped t "wisefuse_recovered_total");
       (* solver lock released + clean state: the next cold solve (same
          key, no fault armed) succeeds and is byte-identical to the
          unfaulted reference *)
@@ -455,8 +547,8 @@ let test_breaker_opens_and_closes () =
         (error_code rej);
       Alcotest.(check int) "reject counted" 1
         (Serve.Breaker.rejects (Serve.Server.breaker t));
-      Alcotest.(check bool) "trips synced to counters" true
-        (!Linalg.Counters.serve_breaker_trips >= 1);
+      Alcotest.(check bool) "trips counted" true
+        (Serve.Breaker.trips (Serve.Server.breaker t) >= 1);
       (* a different fingerprint is unaffected *)
       let _, other = respond t (sched_line ~id:4 "tce") in
       Alcotest.(check string) "other keys still served" "ok"
@@ -568,7 +660,7 @@ let test_admission_shedding () =
   let t = Serve.Server.create ~config () in
   let _, shed = respond t (sched_line ~id:1 "gemver") in
   Alcotest.(check string) "typed overloaded" "overloaded" (error_code shed);
-  Alcotest.(check int) "shed counted" 1 !Linalg.Counters.serve_shed;
+  Alcotest.(check int) "shed counted" 1 (scraped t "wisefuse_shed_total");
   (* protocol ops are never shed *)
   let _, ping = respond t {|{"id": 2, "op": "ping"}|} in
   Alcotest.(check string) "ping served under overload" "ok"
@@ -783,13 +875,19 @@ let test_access_log () =
       in
       Alcotest.(check (list string))
         "outcomes in order" [ "cold"; "hit"; "ping"; "parse" ] outcomes;
-      (* the hit line carries the cache verdict and the key *)
-      (match Obs.Json.parse (List.nth lines 1) with
-      | Ok j ->
-        Alcotest.(check string) "hit cache field" "hit" (str_field j "cache");
-        Alcotest.(check bool) "hit carries key" true
-          (String.length (str_field j "key") = 32)
-      | Error _ -> assert false);
+      (* the hit line carries the cache verdict and the key, and the
+         fields read from the payload the hit went out as bytes *)
+      let cold = parse_line (List.nth lines 0) in
+      let hit = parse_line (List.nth lines 1) in
+      Alcotest.(check string) "hit cache field" "hit" (str_field hit "cache");
+      Alcotest.(check bool) "hit carries key" true
+        (String.length (str_field hit "key") = 32);
+      Alcotest.(check string) "hit kernel" "gemver" (str_field hit "kernel");
+      List.iter
+        (fun name ->
+          Alcotest.(check string) ("hit " ^ name ^ " = cold " ^ name)
+            (str_field cold name) (str_field hit name))
+        [ "kernel"; "engine"; "rung" ];
       (* close is idempotent, and a new server appends *)
       Serve.Server.close t;
       let t2 =
@@ -836,6 +934,109 @@ let test_metrics_monotone_across_recovery () =
       Alcotest.(check int) "cold solves accumulate" 2
         (Serve.Telemetry.outcome_total tel "cold"))
 
+(* --- hits never wait behind a cold solve ------------------------------ *)
+
+(* With both pool workers busy on a cold pair (one solving, one parked
+   on the solver lock), a hit is still answered first: the reading
+   domain answers it without queueing it behind the pair. Order only,
+   no clock threshold. *)
+let test_hit_overtakes_cold_pair () =
+  with_chaos (fun () ->
+      with_pipe_server ~config:pool (fun _ ~send ~recv ->
+          send (sched_line ~id:1 "gemver");
+          Alcotest.(check string) "warm-up solves" "miss"
+            (str_field (parse_line (recv ())) "cache");
+          Serve.Chaos.arm_queue [ Serve.Chaos.Slow 1500 ];
+          send (sched_line ~id:2 "tce");
+          send (sched_line ~id:3 ~size:9 "gemver");
+          send (sched_line ~id:4 "gemver");
+          let replies = List.init 3 (fun _ -> parse_line (recv ())) in
+          let ids =
+            List.map (fun j -> Obs.Json.to_int_opt (field j "id")) replies
+          in
+          Alcotest.(check (list (option int)))
+            "the hit is answered before both cold replies" [ Some 4 ]
+            [ List.hd ids ];
+          Alcotest.(check string) "and it is a hit" "hit"
+            (str_field (List.hd replies) "cache");
+          List.iter
+            (fun j ->
+              Alcotest.(check string) "cold pair solved" "miss"
+                (str_field j "cache"))
+            (List.tl replies)))
+
+(* A cold payload is a function of its request alone: solving while the
+   reader serves hits gives the same bytes, unstripped, as solving on an
+   idle server. *)
+let test_cold_payload_unmoved_by_hits () =
+  with_chaos (fun () ->
+      let idle = Serve.Server.create () in
+      let _, reference = respond idle (sched_line ~id:1 "tce") in
+      let key = str_field reference "key" in
+      let idle_bytes =
+        match Cache.find_quiet (Serve.Server.cache idle) key with
+        | Some e -> e.Cache.rendered
+        | None -> Alcotest.fail "idle solve not cached"
+      in
+      with_pipe_server ~config:pool (fun t ~send ~recv ->
+          send (sched_line ~id:1 "gemver");
+          ignore (recv ());
+          (* hold the solve open long enough for the hits to land in it *)
+          Serve.Chaos.arm_queue [ Serve.Chaos.Slow 300 ];
+          send (sched_line ~id:2 "tce");
+          let hits = 40 in
+          for i = 1 to hits do
+            send (sched_line ~id:(100 + i) "gemver")
+          done;
+          let replies = List.init (hits + 1) (fun _ -> parse_line (recv ())) in
+          let cold =
+            List.find
+              (fun j -> Obs.Json.to_int_opt (field j "id") = Some 2)
+              replies
+          in
+          Alcotest.(check string) "busy solve is a miss" "miss"
+            (str_field cold "cache");
+          let hits_during =
+            List.length
+              (List.filter
+                 (fun j -> str_field j "cache" = "hit")
+                 replies)
+          in
+          Alcotest.(check int) "every other reply a hit" hits hits_during;
+          Alcotest.(check string) "busy payload = idle payload"
+            (Obs.Json.to_string (field reference "result"))
+            (Obs.Json.to_string (field cold "result"));
+          match Cache.find_quiet (Serve.Server.cache t) key with
+          | Some e ->
+            Alcotest.(check string) "cached bytes identical" idle_bytes
+              e.Cache.rendered
+          | None -> Alcotest.fail "busy solve not cached"))
+
+(* The name memo is bounded by the cache: it never outgrows it, and a
+   key the cache evicted solves again, byte-identically. *)
+let test_memo_bound () =
+  let config = { Serve.Server.default_config with cache_capacity = 2 } in
+  let t = Serve.Server.create ~config () in
+  let _, first = respond t (sched_line ~id:1 "gemver") in
+  ignore (respond t (sched_line ~id:2 "tce"));
+  ignore (respond t (sched_line ~id:3 "advect"));
+  let s = Cache.stats (Serve.Server.cache t) in
+  Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
+  Alcotest.(check bool) "memo no larger than the cache" true
+    (Serve.Server.memo_size t <= s.Cache.entries);
+  let _, again = respond t (sched_line ~id:4 "gemver") in
+  Alcotest.(check string) "evicted key solves again" "miss"
+    (str_field again "cache");
+  Alcotest.(check string) "same key" (str_field first "key")
+    (str_field again "key");
+  Alcotest.(check string) "re-solve byte-identical"
+    (Obs.Json.to_string (field first "result"))
+    (Obs.Json.to_string (field again "result"));
+  Alcotest.(check bool) "memo within capacity" true
+    (Serve.Server.memo_size t <= config.cache_capacity);
+  let _, hit = respond t (sched_line ~id:5 "gemver") in
+  Alcotest.(check string) "then hits" "hit" (str_field hit "cache")
+
 let () =
   Alcotest.run "serve"
     [
@@ -850,8 +1051,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "counting + sync" `Quick
-            test_cache_counting_and_sync;
+          Alcotest.test_case "counting" `Quick test_cache_counting;
         ] );
       ( "server",
         [
@@ -862,6 +1062,12 @@ let () =
           Alcotest.test_case "engine selection" `Quick test_engine_requests;
           Alcotest.test_case "protocol envelopes" `Quick
             test_protocol_envelopes;
+          Alcotest.test_case "hit overtakes a cold pair" `Quick
+            test_hit_overtakes_cold_pair;
+          Alcotest.test_case "cold payload unmoved by hits" `Quick
+            test_cold_payload_unmoved_by_hits;
+          Alcotest.test_case "name memo bounded by the cache" `Quick
+            test_memo_bound;
         ] );
       ( "hardening",
         [
