@@ -475,8 +475,20 @@ type pipeline_row = {
   kernel : string;
   wall_ms : float; (* best-of-reps wall time of one full scheduler run *)
   counters : (string * int) list; (* counters of the best repetition *)
-  stages : (string * float) list; (* stage seconds of the best repetition *)
+  stages : (string * float * float) list;
+      (* (stage, self, total) seconds of the best repetition *)
 }
+
+(* One timed run of [f] under a recording: its result, its wall
+   seconds, and the (stage, self, total) seconds of its stage spans. *)
+let timed_stages f =
+  let (v, dt), events =
+    Obs.Trace.capture (fun () ->
+        let t0 = Linalg.Clock.now () in
+        let v = f () in
+        (v, Linalg.Clock.now () -. t0))
+  in
+  (v, dt, Obs.Trace.summary ~cat:"stage" events)
 
 let time_pipeline_kernel (name, mk) =
   let cfg = scheduler_config Wisefuse in
@@ -492,14 +504,11 @@ let time_pipeline_kernel (name, mk) =
        same (fastest) run instead of mixing best-of with averages *)
     Pluto.Farkas.reset_cache ();
     Linalg.Counters.reset ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Pluto.Scheduler.run cfg prog);
-    let dt = Unix.gettimeofday () -. t0 in
-    let stages = Linalg.Counters.stage_times () in
-    (* stage timers are exclusive (self-time), so their sum is bounded
-       by the wall time of the run that produced them; a violation
-       means the accounting regressed to overlapping timers *)
-    let stage_sum = List.fold_left (fun a (_, s) -> a +. s) 0.0 stages in
+    let _, dt, stages = timed_stages (fun () -> Pluto.Scheduler.run cfg prog) in
+    (* self times are exclusive, so their sum is bounded by the wall
+       time of the run that produced them; a violation means the span
+       accounting regressed to overlapping timers *)
+    let stage_sum = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 stages in
     if stage_sum > (dt *. 1.02) +. 1e-4 then
       failwith
         (Printf.sprintf
@@ -520,32 +529,25 @@ let time_pipeline_kernel (name, mk) =
 
 let bench_json_file = "BENCH_pipeline.json"
 
-(* BENCH_TRACE=1 embeds per-stage span self/total times ("spans") into
-   each kernel record, from one extra traced run per kernel that never
-   touches the timed repetitions. *)
-let embed_spans =
-  match Sys.getenv_opt "BENCH_TRACE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-(* One run record as a JSON value; [spans] maps kernel name to a spans
-   object when BENCH_TRACE asked for one. *)
-let pipeline_record ?(tag = "") ?(spans = []) rows =
+(* One run record as a JSON value. Each kernel carries its stage self
+   times as "<stage>_ms" columns and, under "spans", every stage's
+   self and total time — all from the same (best) repetition. *)
+let pipeline_record ?(tag = "") rows =
   let open Obs.Json in
   let label =
     Option.value (Sys.getenv_opt "BENCH_LABEL") ~default:"dev" ^ tag
   in
   let total = List.fold_left (fun a r -> a +. r.wall_ms) 0.0 rows in
   let kernel_obj r =
+    let ms s = Float (round2 (s *. 1e3)) in
+    let span (n, self, total) =
+      (n, Obj [ ("self_ms", ms self); ("total_ms", ms total) ])
+    in
     let fields =
       (("wall_ms", Float (round2 r.wall_ms))
        :: List.map (fun (n, v) -> (n, Int v)) r.counters)
-      @ List.map (fun (n, s) -> (n ^ "_ms", Float (round2 (s *. 1e3)))) r.stages
-    in
-    let fields =
-      match List.assoc_opt r.kernel spans with
-      | Some sp -> fields @ [ ("spans", sp) ]
-      | None -> fields
+      @ List.map (fun (n, s, _) -> (n ^ "_ms", ms s)) r.stages
+      @ [ ("spans", Obj (List.map span r.stages)) ]
     in
     (r.kernel, Obj fields)
   in
@@ -554,7 +556,9 @@ let pipeline_record ?(tag = "") ?(spans = []) rows =
       ("kernels", Obj (List.map kernel_obj rows));
       ("total_wall_ms", Float (round2 total)) ]
 
-(* --- reading the record file back (for dedup and the gate) -------------- *)
+(* --- the BENCH_*.json record files --------------------------------------- *)
+
+(* Each file is {"schema": 1, "unit": ..., "runs": [record, ...]}. *)
 
 let record_label r = Option.bind (Obs.Json.member "label" r) Obs.Json.to_string_opt
 let record_smoke r = Option.bind (Obs.Json.member "smoke" r) Obs.Json.to_bool_opt
@@ -566,24 +570,38 @@ let kernel_wall record kernel =
       Option.bind (member kernel ks) (fun k ->
           Option.bind (member "wall_ms" k) to_float_opt))
 
-let read_bench_file () =
-  if Sys.file_exists bench_json_file then begin
-    let ic = open_in_bin bench_json_file in
+let read_runs file =
+  if Sys.file_exists file then begin
+    let ic = open_in_bin file in
     let n = in_channel_length ic in
     let s = really_input_string ic n in
     close_in ic;
     match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" bench_json_file msg)
+    | Error msg -> failwith (Printf.sprintf "%s: %s" file msg)
     | Ok doc ->
       (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
       | Some runs -> runs
-      | None -> failwith (bench_json_file ^ {|: no "runs" array|}))
+      | None -> failwith (file ^ {|: no "runs" array|}))
   end
   else []
 
-(* Append the new run, replacing any earlier record with the same label
-   (so re-runs — e.g. a restarted CI job — update their record in place
-   instead of accumulating duplicates). *)
+(* Append [run] to [file], replacing any earlier record with the same
+   label (so re-runs — e.g. a restarted CI job — update their record in
+   place instead of accumulating duplicates). *)
+let append_run file ~unit run =
+  let label = Option.value (record_label run) ~default:"dev" in
+  let kept = List.filter (fun r -> record_label r <> Some label) (read_runs file) in
+  let doc =
+    Obs.Json.Obj
+      [ ("schema", Obs.Json.Int 1);
+        ("unit", Obs.Json.Str unit);
+        ("runs", Obs.Json.List (kept @ [ run ])) ]
+  in
+  let oc = open_out_bin file in
+  output_string oc (Obs.Json.to_string_pretty doc);
+  close_out oc;
+  Printf.printf "  wrote %s (label %S)\n%!" file label
+
 (* Analyze records share the file but time wisecheck certification, not
    the scheduler; the regression gate must never compare against one. *)
 let analyze_tag = "-analyze"
@@ -595,24 +613,10 @@ let is_analyze_record r =
     n >= m && String.sub l (n - m) m = analyze_tag
   | None -> false
 
-let write_pipeline_json ?tag ?spans rows =
-  let run = pipeline_record ?tag ?spans rows in
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_bench_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "wall milliseconds per wisefuse scheduler run (best of N)" );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin bench_json_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" bench_json_file label
+let write_pipeline_json ?tag rows =
+  append_run bench_json_file
+    ~unit:"wall milliseconds per wisefuse scheduler run (best of N)"
+    (pipeline_record ?tag rows)
 
 let pipeline_table rows =
   Printf.printf "  %-10s %10s %9s %9s %9s %8s %8s %9s\n" "kernel" "wall ms"
@@ -628,32 +632,12 @@ let pipeline_table rows =
   let total = List.fold_left (fun a r -> a +. r.wall_ms) 0.0 rows in
   Printf.printf "  %-10s %10.2f\n" "total" total
 
-(* One traced (untimed) run of a kernel; its per-stage span summary as
-   a {"<stage>": {"self_ms", "total_ms"}} object for the bench record. *)
-let trace_spans (name, mk) =
-  let cfg = scheduler_config Wisefuse in
-  let prog = mk () in
-  Pluto.Farkas.reset_cache ();
-  Linalg.Counters.reset ();
-  ignore (Obs.Trace.with_recording (fun () -> Pluto.Scheduler.run cfg prog));
-  Obs.Trace.disable ();
-  let span (stage, self, total) =
-    ( stage,
-      Obs.Json.Obj
-        [ ("self_ms", Obs.Json.Float (Obs.Json.round2 (self *. 1e3)));
-          ("total_ms", Obs.Json.Float (Obs.Json.round2 (total *. 1e3))) ] )
-  in
-  (name, Obs.Json.Obj (List.map span (Obs.Trace.summary ~cat:"stage" ())))
-
 let pipeline () =
   section
     "Pipeline: end-to-end wisefuse scheduling time (exact-arithmetic hot path)";
   let rows = List.map time_pipeline_kernel pipeline_kernels in
   pipeline_table rows;
-  let spans =
-    if embed_spans then Some (List.map trace_spans pipeline_kernels) else None
-  in
-  write_pipeline_json ?spans rows
+  write_pipeline_json rows
 
 (* Regression gate (CI, non-blocking): time a fresh run and compare each
    kernel against the last committed non-smoke record. Exits non-zero on
@@ -665,7 +649,7 @@ let check_threshold = 1.25
 let pipeline_check () =
   section "Pipeline check: fresh run vs last committed BENCH record";
   let baseline =
-    List.rev (read_bench_file ())
+    List.rev (read_runs bench_json_file)
     |> List.find_opt (fun r ->
            record_smoke r = Some false && not (is_analyze_record r))
   in
@@ -746,13 +730,11 @@ let analyze_overhead () =
         let report = ref None in
         for _ = 1 to reps do
           Linalg.Counters.reset ();
-          let t0 = Unix.gettimeofday () in
-          let rep = certify () in
-          let dt = Unix.gettimeofday () -. t0 in
+          let rep, dt, stages = timed_stages certify in
           if dt < !best then begin
             best := dt;
             best_counters := Linalg.Counters.all_counters ();
-            best_stages := Linalg.Counters.stage_times ();
+            best_stages := stages;
             report := Some rep
           end
         done;
@@ -795,9 +777,9 @@ let budget_overhead () =
         let best = ref infinity in
         for _ = 1 to reps do
           Pluto.Farkas.reset_cache ();
-          let t0 = Unix.gettimeofday () in
+          let t0 = Linalg.Clock.now () in
           ignore (Pluto.Scheduler.run ?budget cfg prog);
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Linalg.Clock.now () -. t0 in
           if dt < !best then best := dt
         done;
         !best *. 1e3
@@ -837,9 +819,9 @@ let trace_overhead () =
         for _ = 1 to reps do
           Pluto.Farkas.reset_cache ();
           if traced then Obs.Trace.enable ();
-          let t0 = Unix.gettimeofday () in
+          let t0 = Linalg.Clock.now () in
           ignore (Pluto.Scheduler.run cfg prog);
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Linalg.Clock.now () -. t0 in
           Obs.Trace.disable ();
           if dt < !best then best := dt
         done;
@@ -964,9 +946,9 @@ let serve_run_mix t population ~skew ~count =
       | `Hot -> pick_hot n
     in
     let line = serve_request_line ~id:i pop.(idx) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Linalg.Clock.now () in
     let resp = Serve.Server.handle_line t line in
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+    let us = Linalg.Clock.elapsed_us ~since:t0 in
     match resp with
     | None -> failwith "serve bench: daemon returned nothing for a request"
     | Some r -> (
@@ -1143,40 +1125,6 @@ let serve_record st =
                                (float_of_int hits /. float_of_int reqs))) ) ] ))
              st.per_skew) ) ]
 
-let read_serve_file () =
-  if Sys.file_exists serve_bench_file then begin
-    let ic = open_in_bin serve_bench_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" serve_bench_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (serve_bench_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-let write_serve_json st =
-  let run = serve_record st in
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_serve_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "request latency microseconds against the wiseserve daemon" );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin serve_bench_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" serve_bench_file label
-
 let serve_table st =
   Printf.printf "  %-8s %8s %12s %12s\n" "class" "count" "p50 (us)" "p99 (us)";
   Printf.printf "  %-8s %8d %12.1f %12.1f\n" "hit" st.shits st.hit_p50_us
@@ -1197,7 +1145,9 @@ let serve_bench () =
   section "Serve: heavy traffic against the scheduling daemon (wiseserve)";
   let st = run_serve_traffic () in
   serve_table st;
-  write_serve_json st
+  append_run serve_bench_file
+    ~unit:"request latency microseconds against the wiseserve daemon"
+    (serve_record st)
 
 (* Serving gate (CI, advisory like the pipeline gate): machine-
    independent bounds over one fresh traffic run. The hit-rate floor is
@@ -1208,7 +1158,7 @@ let serve_bench () =
 let serve_check () =
   section "Serve check: hit-rate floor and hit-latency ceilings";
   (match
-     List.rev (read_serve_file ())
+     List.rev (read_runs serve_bench_file)
      |> List.find_opt (fun r -> record_smoke r = Some false)
    with
   | Some r ->
@@ -1324,9 +1274,9 @@ let telemetry_overhead () =
   let time t =
     let best = ref infinity in
     for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Linalg.Clock.now () in
       Array.iter (fun line -> ignore (Serve.Server.handle_line t line)) reqs;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Linalg.Clock.now () -. t0 in
       if dt < !best then best := dt
     done;
     !best *. 1e6 /. float_of_int (Array.length reqs)
@@ -1863,40 +1813,6 @@ let soak_record st =
       ("cold_identity", Bool st.kcold_identity);
       ("wall_s", Float (round2 st.kwall_s)) ]
 
-let read_soak_file () =
-  if Sys.file_exists soak_json_file then begin
-    let ic = open_in_bin soak_json_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" soak_json_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (soak_json_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-let write_soak_json st =
-  let run = soak_record st in
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_soak_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "survival metrics of the daemon under chaos + hostile traffic" );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin soak_json_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" soak_json_file label
-
 let soak_table st =
   Printf.printf
     "  %d requests over %d domains in %.1f s: %d hits, %d misses, %d \
@@ -1926,7 +1842,9 @@ let soak_bench () =
   section "Soak: chaos + hostile traffic against the hardened daemon";
   let st = run_soak () in
   soak_table st;
-  write_soak_json st
+  append_run soak_json_file
+    ~unit:"survival metrics of the daemon under chaos + hostile traffic"
+    (soak_record st)
 
 (* Soak gate (CI, blocking): validates the latest BENCH_soak record.
    Every bound is machine-independent — counts, shares and identity
@@ -1934,7 +1852,7 @@ let soak_bench () =
    relative to the deadline the run itself requested. *)
 let soak_check () =
   section "Soak check: survival bounds over the latest BENCH_soak record";
-  match List.rev (read_soak_file ()) with
+  match List.rev (read_runs soak_json_file) with
   | [] ->
     Printf.printf "  no record in %s; run `bench -- soak` first\n"
       soak_json_file;
@@ -2047,12 +1965,12 @@ type scale_cell = {
 let time_scale_engine cfg prog deps kind =
   Pluto.Farkas.reset_cache ();
   Linalg.Counters.reset ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Linalg.Clock.now () in
   let res =
     Pluto.Scheduler.run_with_deps ~engine:(Pluto.Engine.Fixed kind) cfg prog
       deps
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Linalg.Clock.now () -. t0 in
   let all = Linalg.Counters.all_counters () in
   {
     swall_ms = dt *. 1e3;
@@ -2110,43 +2028,11 @@ let scale_record () =
     [ ("label", Obs.Json.Str label); ("smoke", Obs.Json.Bool smoke);
       ("shapes", Obs.Json.Obj shapes) ]
 
-let read_scale_file () =
-  if Sys.file_exists scale_json_file then begin
-    let ic = open_in_bin scale_json_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" scale_json_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (scale_json_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-let write_scale_json run =
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_scale_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "wall milliseconds of one scheduler run per engine on shared deps"
-        );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin scale_json_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" scale_json_file label
-
 let scale () =
   section "Scale: ilp vs lp-dfp engines on generated large SCoPs";
-  write_scale_json (scale_record ())
+  append_run scale_json_file
+    ~unit:"wall milliseconds of one scheduler run per engine on shared deps"
+    (scale_record ())
 
 (* Scale gate (CI, advisory like the other gates): validates the latest
    record in BENCH_scale.json — both engines ran in the same process on
@@ -2164,7 +2050,7 @@ let scale_check_threshold = 1.25
 
 let scale_check () =
   section "Scale check: lp-dfp bounds over the latest BENCH_scale record";
-  match List.rev (read_scale_file ()) with
+  match List.rev (read_runs scale_json_file) with
   | [] ->
     Printf.printf "  no record in %s; run `bench -- scale` first\n"
       scale_json_file;

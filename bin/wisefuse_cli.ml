@@ -104,29 +104,36 @@ let verbose_arg =
   let doc = "Render full diagnostic context (phase, code, details) on errors." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-(* Counters plus an aligned stage-timer table. The self column is the
-   exclusive accumulator from [Counters.stage_times]; the total
-   (inclusive) column can only be recomputed from the span tree, so it
-   reads "-" unless the run was traced. *)
+(* With --stats, the events of every pipeline run of the command, most
+   recent first; [report_stats] folds their stage spans. *)
+let recorded = ref []
+
+let keep stats events = if stats then recorded := events :: !recorded
+
+(* [f ()], recorded when --stats is set *)
+let record stats f =
+  if not stats then f ()
+  else begin
+    let v, events = Obs.Trace.capture f in
+    keep stats events;
+    v
+  end
+
+(* Counters plus an aligned stage-timer table: exclusive (self) and
+   inclusive (total) time of the recorded stage spans. *)
 let report_stats stats =
   if stats then begin
     Format.printf "=== pipeline counters ===@.";
     List.iter
       (fun (n, v) -> if v <> 0 then Format.printf "%-20s %d@." n v)
       (Linalg.Counters.all_counters ());
-    let stages = Linalg.Counters.stage_times () in
+    let stages = Obs.Trace.summary ~cat:"stage" (List.concat (List.rev !recorded)) in
     if stages <> [] then begin
-      let spans = Obs.Trace.summary ~cat:"stage" () in
       Format.printf "=== stage timers ===@.";
       Format.printf "%-14s %12s %12s@." "stage" "self (ms)" "total (ms)";
       List.iter
-        (fun (name, self) ->
-          let total =
-            match List.find_opt (fun (n, _, _) -> n = name) spans with
-            | Some (_, _, tot) -> Printf.sprintf "%12.3f" (tot *. 1e3)
-            | None -> Printf.sprintf "%12s" "-"
-          in
-          Format.printf "%-14s %12.3f %s@." name (self *. 1e3) total)
+        (fun (name, self, total) ->
+          Format.printf "%-14s %12.3f %12.3f@." name (self *. 1e3) (total *. 1e3))
         stages
     end
   end
@@ -234,8 +241,9 @@ let opt_cmd =
     verbose := vflag;
     let prog = load name size in
     let ast, res =
-      ast_of_model ?tile ~engine:(engine_of_name engine)
-        ~reductions:(reductions_of_name reductions) prog model
+      record stats (fun () ->
+          ast_of_model ?tile ~engine:(engine_of_name engine)
+            ~reductions:(reductions_of_name reductions) prog model)
     in
     (match res with
     | Some res ->
@@ -364,7 +372,9 @@ let analyze_cmd =
             (String.concat ", " model_names);
           exit usage_exit
         end;
-        let prog, report = analyze_one ~engine ~reductions prog mname in
+        let prog, report =
+          record stats (fun () -> analyze_one ~engine ~reductions prog mname)
+        in
         if report.Analysis.Wisecheck.errors > 0 then any_errors := true;
         if json then print_report_json prog ~kernel:kname ~model:mname report
         else print_report_text prog (kname ^ " / " ^ mname) report)
@@ -401,8 +411,7 @@ let out_dir_arg =
 (* One traced pipeline run: model optimization + wisecheck
    certification under a fresh recording sink, counters and Farkas
    cache reset first so the trace is a function of the program alone.
-   Leaves the tracer disabled but the events readable (report_stats
-   reads the span totals from them). *)
+   Leaves the tracer disabled. *)
 let traced_run ?engine ?reductions prog mname =
   let model = model_of_name mname in
   Linalg.Counters.reset ();
@@ -424,6 +433,7 @@ let trace_cmd =
     let trace_one kname out =
       let prog = load kname size in
       let _, events = traced_run ~engine ~reductions prog model in
+      keep stats events;
       let json =
         Obs.Export.chrome_trace
           ~process:(Printf.sprintf "wisefuse %s/%s" kname model)
@@ -472,9 +482,10 @@ let explain_cmd =
         Fusion.Explain.capture ~engine ~reductions ~model:m ~kernel:kname prog
       in
       Format.printf "%a@." Fusion.Explain.pp ex;
+      keep stats ex.Fusion.Explain.events;
       (* the analysis verdict is not part of the optimization trace;
          append it from a direct certification of the captured result *)
-      let _, r = certify_opt ex.Fusion.Explain.outcome in
+      let _, r = record stats (fun () -> certify_opt ex.Fusion.Explain.outcome) in
       Format.printf "wisecheck: %d error%s, %d warning%s, %d info@."
         r.Analysis.Wisecheck.errors
         (if r.Analysis.Wisecheck.errors = 1 then "" else "s")
@@ -514,8 +525,9 @@ let sim_cmd =
     let prog = load name size in
     let params = prog.Scop.Program.default_params in
     let ast, _ =
-      ast_of_model ?tile ~engine:(engine_of_name engine)
-        ~reductions:(reductions_of_name reductions) prog model
+      record stats (fun () ->
+          ast_of_model ?tile ~engine:(engine_of_name engine)
+            ~reductions:(reductions_of_name reductions) prog model)
     in
     (* semantic check against the original *)
     let m_ref = Machine.Interp.init_memory prog ~params in

@@ -6,7 +6,7 @@ type report = {
 }
 
 let certify ?param_floor (prog : Scop.Program.t) deps sched ast =
-  Linalg.Counters.time "analysis" (fun () ->
+  Obs.Trace.span ~cat:"stage" "analysis" (fun () ->
       (* re-derive reduction proofs from the program text and raw
          dependences — never trust the scheduler's own tags. A
          [Parallel_reduction] mark is only honoured when the proof

@@ -150,7 +150,7 @@ let make_instance (prog : Scop.Program.t) (sched : Pluto.Sched.t) id =
 (* --- tree construction ----------------------------------------------------- *)
 
 let generate ~(prog : Scop.Program.t) ~(sched : Pluto.Sched.t) ~deps =
-  Counters.time "codegen" @@ fun () ->
+  Obs.Trace.span ~cat:"stage" "codegen" @@ fun () ->
   let np = Scop.Program.nparams prog in
   let n = Array.length prog.stmts in
   if n = 0 then Ast.Seq []

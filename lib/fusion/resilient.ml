@@ -221,7 +221,7 @@ let optimize ?param_floor ?budget ?engine ?(config = Wisefuse.config)
     match budget with Some _ -> budget | None -> Linalg.Budget.of_env ()
   in
   let all_deps =
-    Linalg.Counters.time "dep-analysis" (fun () ->
+    Obs.Trace.span ~cat:"stage" "dep-analysis" (fun () ->
         Dep.analyze ?param_floor prog)
   in
   (* reduction-aware scheduling: prove reduction shapes, retag their

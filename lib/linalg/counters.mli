@@ -1,10 +1,11 @@
 (** Process-wide performance counters for the exact-arithmetic pipeline.
 
-    The refs are bumped directly on the hot paths (a single [incr]); the
-    stage timers accumulate wall-clock time per named pipeline stage.
-    The bench harness and the CLI read these to report where the
-    optimization time goes, and the CI benchmark job serializes them
-    into [BENCH_pipeline.json]. *)
+    The refs are bumped directly on the hot paths (a single [incr]).
+    The bench harness and the CLI read them to report where the
+    optimization work goes, and the CI benchmark job serializes them
+    into [BENCH_pipeline.json]. Per-stage wall time is not kept here:
+    each pipeline stage is an {!Obs.Trace} span of category ["stage"],
+    and readers fold the spans they recorded ({!Obs.Trace.summary}). *)
 
 (** Count of {!Bigint} results that did not fit the immediate [Small]
     representation and had to allocate a [Big] magnitude. *)
@@ -82,30 +83,12 @@ val cluster_rounds : int ref
     back to the ILP engine. *)
 val dfp_fallbacks : int ref
 
-(** [time stage f] runs [f ()] and adds its wall-clock duration to the
-    accumulator for [stage] (even if [f] raises). Timers are
-    {e exclusive}: when stages nest, the inner stage's time is
-    subtracted from the enclosing stage, so stage times are disjoint
-    and sum to at most the outermost wall time. When the {!Obs.Trace}
-    sink is on, each stage additionally records a span (category
-    ["stage"]), so traces can re-derive these accumulators. *)
-val time : string -> (unit -> 'a) -> 'a
-
-(** Install a callback invoked with each completed stage's name and
-    {e exclusive} duration in seconds (same accounting as
-    {!stage_times}). The serving daemon uses this to feed per-stage
-    latency histograms without [linalg] depending on the metrics
-    registry. The default is a no-op; installation is atomic, so it is
-    safe against concurrent solves. *)
-val set_stage_observer : (string -> float -> unit) -> unit
-
-(** Accumulated (stage, seconds) pairs, in first-use order. *)
-val stage_times : unit -> (string * float) list
-
-(** All counters as (name, value) pairs, including zeros. *)
+(** All counters as (name, value) pairs, including zeros, in one fixed
+    order (cold payloads, [Serve.Protocol.solver_counter_names] and the
+    benchmark's counter deltas depend on it). *)
 val all_counters : unit -> (string * int) list
 
-(** Reset every counter and timer to zero. *)
+(** Reset every counter to zero. *)
 val reset : unit -> unit
 
 val pp : Format.formatter -> unit -> unit

@@ -4,9 +4,9 @@
     The tracer records two kinds of events into an in-memory sink:
 
     - {b spans} (begin/end pairs) forming a tree — pipeline stages,
-      per-level hyperplane searches — from which exclusive self-times
-      can be recomputed and reconciled against
-      [Linalg.Counters.stage_times];
+      per-level hyperplane searches. A span of category ["stage"] is the
+      pipeline's only stage timer: {!fold_spans} and {!summary} derive
+      exclusive self-times and inclusive totals from recorded events;
     - {b instants} — point-in-time decision events (why an SCC pair was
       cut, whether an ILP solve was warm or cold, which degradation
       rung fired) with structured {!Json.t} arguments.
@@ -77,18 +77,24 @@ val span : ?args:(string * Json.t) list -> cat:string -> string -> (unit -> 'a) 
 
 val instant : ?args:(string * Json.t) list -> cat:string -> string -> unit
 
-(** {2 Reconstruction} — all over the calling domain's sink. *)
+(** {2 Reconstruction} — over an explicit event list: a capture's, a
+    recording's, or [events ()] for the calling domain's sink. *)
 
-(** Per-name {e exclusive} (self) seconds of the recorded spans of
-    category [cat], in first-appearance order: each span's duration
-    minus the duration of its child spans {e of the same category}.
-    With [cat = "stage"] this recomputes [Counters.stage_times] from
-    the trace. *)
-val self_times : cat:string -> unit -> (string * float) list
+(** One closed span: inclusive ([total]) and exclusive ([self])
+    seconds. *)
+type span = { name : string; cat : string; total : float; self : float }
 
-(** Per-name [(self, total)] seconds (total = inclusive duration sum)
-    for spans of category [cat], in first-appearance order. *)
-val summary : cat:string -> unit -> (string * float * float) list
+(** [fold_spans ?cat f acc events] folds [f] over the closed spans of
+    [events] in close order. With [cat], only spans of that category
+    are seen, and [self] is the span's duration minus that of its
+    direct children of the same category; without, every span is seen.
+    Spans still open at the end of the list are skipped. *)
+val fold_spans : ?cat:string -> ('a -> span -> 'a) -> 'a -> event list -> 'a
+
+(** Per-name [(self, total)] second sums of the spans of category
+    [cat], in first-close order. With [cat = "stage"] these are the
+    pipeline's stage times. *)
+val summary : cat:string -> event list -> (string * float * float) list
 
 (** [with_recording f] runs [f] under a fresh enabled sink and returns
     its result with the recorded events; the previous sink state

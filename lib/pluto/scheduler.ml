@@ -979,7 +979,7 @@ let verify_result (res : result) =
       Obs.Trace.instant ~cat:"verify" name
         ~args:(("config", Obs.Json.Str res.config_name) :: args)
   in
-  Counters.time "verification" (fun () ->
+  Obs.Trace.span ~cat:"stage" "verification" (fun () ->
       (match Satisfy.check_complete res.prog res.sched with
       | Ok () -> ()
       | Error d ->
@@ -1139,19 +1139,21 @@ let run_with_deps ?engine cfg prog all_deps =
 
 let run ?param_floor ?budget ?engine cfg prog =
   let all_deps =
-    Counters.time "dep-analysis" (fun () -> Dep.analyze ?param_floor prog)
+    Obs.Trace.span ~cat:"stage" "dep-analysis" (fun () ->
+      Dep.analyze ?param_floor prog)
   in
-  Counters.time "scheduling" (fun () ->
+  Obs.Trace.span ~cat:"stage" "scheduling" (fun () ->
       run_with_deps_budgeted ?budget ?engine cfg prog all_deps)
 
 let schedule_with_deps ?budget ?engine cfg prog all_deps =
   Diagnostics.protect (fun () ->
-      Counters.time "scheduling" (fun () ->
+      Obs.Trace.span ~cat:"stage" "scheduling" (fun () ->
           run_with_deps_budgeted ?budget ?engine cfg prog all_deps))
 
 let schedule ?param_floor ?budget ?engine cfg prog =
   let all_deps =
-    Counters.time "dep-analysis" (fun () -> Dep.analyze ?param_floor prog)
+    Obs.Trace.span ~cat:"stage" "dep-analysis" (fun () ->
+      Dep.analyze ?param_floor prog)
   in
   schedule_with_deps ?budget ?engine cfg prog all_deps
 

@@ -4,9 +4,10 @@
    are keyed by Fingerprint and answered from the content-addressed
    Cache when possible. A miss runs the full certified pipeline —
    Fusion.Model.optimize under a nested trace capture (so the decision
-   events become the response's explain chain), then wisecheck — and
-   stores the payload, rendered once, for every later request with the
-   same content.
+   events become the response's explain chain), then wisecheck under a
+   capture of its own — and stores the payload, rendered once, for
+   every later request with the same content. The stage spans of both
+   captures feed this server's per-stage latency histograms.
 
    Every request line goes through two steps. [admit] parses it,
    applies admission (oversized, draining, overload shedding), answers
@@ -140,12 +141,6 @@ let create ?(config = default_config) () =
         uptime_s = (fun () -> Linalg.Clock.now () -. started);
       }
   in
-  (* per-stage pipeline latency flows in from Counters.time; the hook
-     is process-wide, so the most recently created server owns it
-     (observe_stage is a no-op when its telemetry is disabled) *)
-  if config.metrics then
-    Linalg.Counters.set_stage_observer (fun stage seconds ->
-        Telemetry.observe_stage telemetry ~stage ~seconds);
   {
     config;
     cache;
@@ -234,6 +229,16 @@ let wisecheck_json prog (r : Analysis.Wisecheck.report) =
         Obs.Json.List
           (List.map (Analysis.Finding.json prog) r.Analysis.Wisecheck.findings) ) ]
 
+(* Each closed stage span of a solve's captured events is one
+   observation of that stage's latency histogram (exclusive time, in
+   close order); a server observes only the solves it ran. *)
+let observe_stages t events =
+  if Telemetry.enabled t.telemetry then
+    Obs.Trace.fold_spans ~cat:"stage"
+      (fun () (s : Obs.Trace.span) ->
+        Telemetry.observe_stage t.telemetry ~stage:s.name ~seconds:s.self)
+      () events
+
 let explain_lines ex =
   let text = Format.asprintf "%a" Fusion.Explain.pp ex in
   String.split_on_char '\n' text
@@ -249,8 +254,9 @@ let explain_lines ex =
    the dependence-set fingerprint, and whether the resilience ladder
    degraded (degraded payloads must not be cached: a deadline or an
    injected fault is request-local state, and caching its result would
-   poison every later request for the same content). *)
-let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
+   poison every later request for the same content). Its stage spans
+   feed [t]'s stage histograms. *)
+let solve t ?budget ~kernel ~model ~size ~engine ~reductions prog =
   Linalg.Counters.reset ();
   Pluto.Farkas.reset_cache ();
   let fault = !Chaos.solve_fault () in
@@ -272,7 +278,15 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
     | Some fault -> Chaos.apply fault run
   in
   let aprog, deps, sched = artifacts opt in
-  let report = Analysis.Wisecheck.certify aprog deps sched opt.Fusion.Model.ast in
+  (* certification gets a capture of its own: the explain chain must
+     read only what [optimize] emitted, and wisecheck's race checks
+     emit ilp.bb events too *)
+  let report, checked =
+    Obs.Trace.capture (fun () ->
+        Analysis.Wisecheck.certify aprog deps sched opt.Fusion.Model.ast)
+  in
+  observe_stages t events;
+  observe_stages t checked;
   let ex = { Fusion.Explain.kernel; model; outcome = opt; events } in
   let rung, degraded =
     match opt.Fusion.Model.resilience with
@@ -327,31 +341,22 @@ let gen_trace_id t n =
           (Int64.mul (Int64.of_int (n + 1)) 0x9E3779B97F4A7C15L)))
 
 (* Compact summary of a sampled request's captured events: completed
-   spans (begin/end pairs of any category) with their durations, plus
+   spans (of any category, in close order) with their durations, plus
    the raw event count. *)
 let trace_json events =
-  let spans = ref [] in
-  let stack = ref [] in
-  List.iter
-    (fun (e : Obs.Trace.event) ->
-      match e.Obs.Trace.ph with
-      | Obs.Trace.B -> stack := (e.name, e.cat, e.ts) :: !stack
-      | Obs.Trace.E -> (
-        match !stack with
-        | (name, cat, t0) :: rest when name = e.Obs.Trace.name ->
-          stack := rest;
-          spans :=
-            Obs.Json.Obj
-              [ ("name", Obs.Json.Str name);
-                ("cat", Obs.Json.Str cat);
-                ("us", Obs.Json.Float (Obs.Json.round2 (e.ts -. t0))) ]
-            :: !spans
-        | _ -> ())
-      | Obs.Trace.I -> ())
-    events;
+  let spans =
+    Obs.Trace.fold_spans
+      (fun acc (s : Obs.Trace.span) ->
+        Obs.Json.Obj
+          [ ("name", Obs.Json.Str s.name);
+            ("cat", Obs.Json.Str s.cat);
+            ("us", Obs.Json.Float (Obs.Json.round2 (s.total *. 1e6))) ]
+        :: acc)
+      [] events
+  in
   Obs.Json.Obj
     [ ("events", Obs.Json.Int (List.length events));
-      ("spans", Obs.Json.List (List.rev !spans)) ]
+      ("spans", Obs.Json.List (List.rev spans)) ]
 
 (* One answered line's bookkeeping: when it started, its sequence
    number and whether that number samples a trace. *)
@@ -707,7 +712,7 @@ let solve_miss t (m : miss) =
               Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
                   let t0 = Linalg.Clock.now () in
                   let payload, deps_fp, degraded =
-                    solve ?budget ~kernel:m.kernel ~model:m.model ~size:m.size
+                    solve t ?budget ~kernel:m.kernel ~model:m.model ~size:m.size
                       ~engine:m.engine ~reductions:m.reductions m.prog
                   in
                   (payload, deps_fp, degraded, Linalg.Clock.elapsed_ms ~since:t0))
@@ -839,26 +844,29 @@ let install_drain_signals ?(immediate = false) t cleanup =
       with Invalid_argument _ -> ())
     [ (Sys.sigterm, "SIGTERM"); (Sys.sigint, "SIGINT") ]
 
-let serve_channels t ic oc =
-  let read () =
-    if Atomic.get t.stop then `Eof
-    else read_line_bounded ic ~max:t.config.max_line_bytes
+(* The synchronous loop — [--domains 1] and each socket connection:
+   read a line, answer it, write the reply, until EOF or a shutdown
+   request. Replies come back in request order. *)
+let rec serve_sync t ic oc =
+  let more =
+    match read_line_bounded ic ~max:t.config.max_line_bytes with
+    | `Eof -> false
+    | `Oversized ->
+      output_reply oc (oversized_reply t);
+      true
+    | `Line line ->
+      Option.iter (output_reply oc) (answer t line);
+      true
   in
-  if t.config.domains <= 1 then begin
-    (* synchronous: responses come back in request order *)
-    let rec loop () =
-      match read () with
-      | `Eof -> ()
-      | `Oversized ->
-        output_reply oc (oversized_reply t);
-        loop ()
-      | `Line line ->
-        Option.iter (output_reply oc) (answer t line);
-        loop ()
-    in
-    loop ()
-  end
+  if more && not (Atomic.get t.stop) then serve_sync t ic oc
+
+let serve_channels t ic oc =
+  if t.config.domains <= 1 then serve_sync t ic oc
   else begin
+    let read () =
+      if Atomic.get t.stop then `Eof
+      else read_line_bounded ic ~max:t.config.max_line_bytes
+    in
     (* the reader answers all it can; N domains solve the misses.
        Responses may interleave out of request order (envelopes carry
        the request id). *)
@@ -933,21 +941,8 @@ end
 let handle_conn t registry fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  (try
-     let rec loop () =
-       match read_line_bounded ic ~max:t.config.max_line_bytes with
-       | `Eof -> ()
-       | `Oversized ->
-         output_reply oc (oversized_reply t);
-         if not (Atomic.get t.stop) then loop ()
-       | `Line line ->
-         Option.iter (output_reply oc) (answer t line);
-         if not (Atomic.get t.stop) then loop ()
-     in
-     loop ()
-   with
-  | End_of_file | Sys_error _ -> ()
-  | Unix.Unix_error _ -> ());
+  (try serve_sync t ic oc
+   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
   Conn_registry.remove registry fd;
   close_out_noerr oc
 

@@ -2,9 +2,11 @@
 
     Line-delimited JSON requests (stdio or a Unix socket) are keyed by
     {!Fingerprint} and answered from the content-addressed {!Cache}; a
-    miss runs the full certified pipeline (optimize under a nested
-    trace capture + wisecheck) and stores the payload, rendered once,
-    for every later request with the same content.
+    miss runs the full certified pipeline (optimize and wisecheck, each
+    under a nested trace capture) and stores the payload, rendered
+    once, for every later request with the same content. The stage
+    spans a miss records ([Obs.Trace] category ["stage"]) feed that
+    server's [wisefuse_stage_duration_us] histograms.
 
     Each line is {e admitted} (parsed, admission-checked, protocol ops
     and usage/breaker errors answered, the cache probed) and only a
@@ -81,11 +83,8 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Builds the cache, breaker and telemetry registry, opens the access
-    log (raising [Sys_error] if its path cannot be opened), and — when
-    [config.metrics] — installs the process-wide stage observer
-    ([Linalg.Counters.set_stage_observer]), so the most recently
-    created metrics-enabled server owns per-stage latency. *)
+(** Builds the cache, breaker and telemetry registry and opens the
+    access log (raising [Sys_error] if its path cannot be opened). *)
 
 val cache : t -> Cache.t
 val breaker : t -> Breaker.t

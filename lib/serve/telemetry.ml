@@ -252,7 +252,7 @@ let record_solve t ~engine_used ~solve_ms =
     in
     M.observe h (int_of_float (solve_ms *. 1e3))
 
-(* Stage names arrive dynamically from [Linalg.Counters.time]; the
+(* Stage names arrive dynamically from the solve's stage spans; the
    first observation of a stage registers its histogram (under a
    mutex — registration is rare, observation is not). *)
 let observe_stage t ~stage ~seconds =
@@ -266,7 +266,7 @@ let observe_stage t ~stage ~seconds =
               M.histogram t.reg ~name:"wisefuse_stage_duration_us"
                 ~help:
                   "Exclusive pipeline-stage wall time in microseconds \
-                   (same accounting as Counters.stage_times)."
+                   (self time of each closed stage span)."
                 ~labels:[ ("stage", stage) ] ()
             in
             Hashtbl.add t.stages stage h;

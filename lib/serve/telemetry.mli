@@ -63,8 +63,8 @@ val record_solve : t -> engine_used:string -> solve_ms:float -> unit
 
 val observe_stage : t -> stage:string -> seconds:float -> unit
 (** Feed one completed pipeline stage (exclusive time) into
-    [wisefuse_stage_duration_us{stage=…}]; wired to
-    [Linalg.Counters.set_stage_observer]. *)
+    [wisefuse_stage_duration_us{stage=…}]; the server calls it once per
+    closed stage span of each solve it runs. *)
 
 val exposition : t -> string
 (** Prometheus text exposition (a comment line when disabled). *)

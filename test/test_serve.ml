@@ -780,6 +780,38 @@ let test_metrics_op () =
   Alcotest.(check int) "disabled records nothing" 0
     (Serve.Telemetry.requests_total (Serve.Server.telemetry off))
 
+let test_stage_histograms_per_server () =
+  (* each server observes only the solves it ran: one cold solve on the
+     first of two metrics-on servers adds one observation per pipeline
+     stage there, in the stages' exposition order, and none on the
+     second *)
+  let first = Serve.Server.create () in
+  let second = Serve.Server.create () in
+  ignore (respond first (sched_line ~id:1 "gemver"));
+  let stages = [ "dep-analysis"; "verification"; "scheduling"; "codegen"; "analysis" ] in
+  List.iter
+    (fun stage ->
+      Alcotest.(check int)
+        (stage ^ " observed once") 1
+        (scraped first
+           (Printf.sprintf "wisefuse_stage_duration_us_count{stage=%S}" stage)))
+    stages;
+  let count_series t =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; _ ] when String.starts_with ~prefix:"wisefuse_stage_duration_us_count" n ->
+          Some n
+        | _ -> None)
+      (String.split_on_char '\n'
+         (Serve.Telemetry.exposition (Serve.Server.telemetry t)))
+  in
+  Alcotest.(check (list string)) "one series per stage, in exposition order"
+    (List.map (Printf.sprintf "wisefuse_stage_duration_us_count{stage=%S}") stages)
+    (count_series first);
+  Alcotest.(check (list string)) "the idle server has no stage series" []
+    (count_series second)
+
 let is_hex s =
   s <> ""
   && String.for_all
@@ -1084,6 +1116,8 @@ let () =
           Alcotest.test_case "health + idempotent shutdown" `Quick
             test_health_and_idempotent_shutdown;
           Alcotest.test_case "metrics op + snapshot" `Quick test_metrics_op;
+          Alcotest.test_case "stage histograms per server" `Quick
+            test_stage_histograms_per_server;
           Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
           Alcotest.test_case "access log" `Quick test_access_log;
           Alcotest.test_case "metrics monotone across recovery" `Quick
