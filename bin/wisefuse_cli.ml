@@ -172,7 +172,7 @@ let ast_of_model ?tile ?engine ?reductions prog mname =
         opt.Fusion.Model.ast
       | None, _ -> opt.Fusion.Model.ast
     in
-    (ast, opt.Fusion.Model.scheduler)
+    (ast, opt)
   | exception Not_found ->
     Printf.eprintf "unknown model %s (expected one of %s)\n" mname
       (String.concat ", " model_names);
@@ -240,18 +240,18 @@ let opt_cmd =
   let run name size model engine reductions tile stats vflag =
     verbose := vflag;
     let prog = load name size in
-    let ast, res =
+    let ast, opt =
       record stats (fun () ->
           ast_of_model ?tile ~engine:(engine_of_name engine)
             ~reductions:(reductions_of_name reductions) prog model)
     in
-    (match res with
-    | Some res ->
+    (match (opt.Fusion.Model.scheduler, opt.Fusion.Model.icc) with
+    | Some res, _ ->
       Format.printf "=== schedule (%s) ===@.%a@." model
         (Pluto.Sched.pp prog) res.Pluto.Scheduler.sched;
       Format.printf "=== partitions ===@.%a@.@." Fusion.Report.pp_table res
-    | None ->
-      let r = Icc.Icc_model.run prog in
+    | None, None -> ()
+    | None, Some r ->
       Format.printf "=== icc nests ===@.";
       List.iter
         (fun (nst : Icc.Icc_model.nest) ->

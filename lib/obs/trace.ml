@@ -152,9 +152,12 @@ let with_recording f =
    in progress (the serving daemon harvests per-request decision
    events this way without clobbering a session-level trace).  The
    saved state is domain-local, so concurrent captures on different
-   domains are fully independent.  The outer clock's monotonicity is
-   preserved by restoring [last_ts]. *)
-let capture f =
+   domains are fully independent.  When the outer sink was recording,
+   the captured events also land in it, moved onto the outer clock
+   and clamped to stay monotone; the outer [last_ts] moves with them.
+   On a raise the events recorded so far go to [raised] (and to the
+   outer sink) before the exception propagates. *)
+let capture ?raised f =
   let st = cur () in
   let s_enabled = st.enabled
   and s_sink = st.sink
@@ -162,20 +165,30 @@ let capture f =
   and s_t0 = st.t0
   and s_last = st.last_ts in
   let restore () =
+    let evs = events () in
+    let shift = (st.t0 -. s_t0) *. 1e6 in
     if st.enabled && not s_enabled then Atomic.decr live
     else if (not st.enabled) && s_enabled then Atomic.incr live;
     st.enabled <- s_enabled;
     st.sink <- s_sink;
     st.count <- s_count;
     st.t0 <- s_t0;
-    st.last_ts <- s_last
+    st.last_ts <- s_last;
+    if s_enabled then
+      List.iter
+        (fun e ->
+          let ts = Float.max st.last_ts (e.ts +. shift) in
+          st.last_ts <- ts;
+          st.sink <- { e with ts } :: st.sink;
+          st.count <- st.count + 1)
+        evs;
+    evs
   in
   enable ();
   match f () with
-  | v ->
-    let evs = events () in
-    restore ();
-    (v, evs)
+  | v -> (v, restore ())
   | exception e ->
-    restore ();
-    raise e
+    let bt = Printexc.get_raw_backtrace () in
+    let evs = restore () in
+    Option.iter (fun k -> k evs) raised;
+    Printexc.raise_with_backtrace e bt

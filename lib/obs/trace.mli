@@ -102,10 +102,14 @@ val summary : cat:string -> event list -> (string * float * float) list
     tracer. *)
 val with_recording : (unit -> 'a) -> 'a * event list
 
-(** [capture f] runs [f] under a fresh recording like {!with_recording}
-    but saves the calling domain's entire sink state first and
-    restores it afterwards (also on exceptions — the captured events
-    are then lost). Captures therefore nest, and concurrent captures
-    on different domains are independent. This is what the serving
-    daemon uses to harvest per-request decision events. *)
-val capture : (unit -> 'a) -> 'a * event list
+(** [capture ?raised f] runs [f] under a fresh recording like
+    {!with_recording} but saves the calling domain's entire sink state
+    first and restores it afterwards. Captures therefore nest, and
+    concurrent captures on different domains are independent. When the
+    enclosing sink is recording, the captured events are appended to it
+    too, rebased to its clock and kept monotone; the capture itself
+    returns only its own events. If [f] raises, the events recorded up
+    to the raise are passed to [raised] (after the sink is restored)
+    and the exception propagates. This is what the serving daemon uses
+    to harvest per-request decision events. *)
+val capture : ?raised:(event list -> unit) -> (unit -> 'a) -> 'a * event list

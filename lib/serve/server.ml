@@ -7,7 +7,8 @@
    events become the response's explain chain), then wisecheck under a
    capture of its own — and stores the payload, rendered once, for
    every later request with the same content. The stage spans of both
-   captures feed this server's per-stage latency histograms.
+   captures feed this server's per-stage latency histograms, also those
+   that closed before a solve raised.
 
    Every request line goes through two steps. [admit] parses it,
    applies admission (oversized, draining, overload shedding), answers
@@ -268,8 +269,9 @@ let solve t ?budget ~kernel ~model ~size ~engine ~reductions prog =
     | Some Chaos.Exhaust -> Some (Chaos.starved_budget ())
     | _ -> budget
   in
+  (* a solve that raises still observes the stages that closed *)
   let run () =
-    Obs.Trace.capture (fun () ->
+    Obs.Trace.capture ~raised:(observe_stages t) (fun () ->
         Fusion.Model.optimize ?budget ~engine ~reductions model prog)
   in
   let opt, events =
@@ -282,7 +284,7 @@ let solve t ?budget ~kernel ~model ~size ~engine ~reductions prog =
      read only what [optimize] emitted, and wisecheck's race checks
      emit ilp.bb events too *)
   let report, checked =
-    Obs.Trace.capture (fun () ->
+    Obs.Trace.capture ~raised:(observe_stages t) (fun () ->
         Analysis.Wisecheck.certify aprog deps sched opt.Fusion.Model.ast)
   in
   observe_stages t events;

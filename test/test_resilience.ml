@@ -1,6 +1,6 @@
 (* Robustness tests: solver budgets, the graceful-degradation ladder,
    typed diagnostics, always-on schedule verification, the chaos hooks,
-   and the bench regression comparator. *)
+   and the bench gate evaluator. *)
 
 open Linalg
 open Poly
@@ -348,70 +348,226 @@ let test_chaos_big_path_equiv () =
       Alcotest.(check bool) "forced Big promotion, same schedule" true
         (got = base))
 
-(* --- bench regression comparator ------------------------------------------ *)
+(* --- bench gates ------------------------------------------------------------ *)
 
+let metric ?(kind = Bench_check.Timed) value =
+  { Bench_check.value; unit = "ms"; kind }
+
+let bench_record ?(host = "a") ?(smoke = false) metrics =
+  { Bench_check.label = "t"; smoke; experiment = "t"; host; metrics }
+
+let verdicts table ?baseline r =
+  List.map snd (Bench_check.evaluate table ?baseline r)
+
+let is_met = function Bench_check.Met _ -> true | _ -> false
+let is_skipped = function Bench_check.Skipped _ -> true | _ -> false
+
+(* the baseline rule: timed rows within a factor of the baseline on the
+   same host, exact metrics equal to it *)
 let test_bench_comparator () =
   let open Bench_check in
-  let cmp b c = compare_wall ~threshold:1.25 ~baseline_ms:b ~current_ms:c in
-  Alcotest.(check bool) "missing" true (cmp None 10.0 = Missing);
-  Alcotest.(check bool) "zero baseline guarded" true
-    (cmp (Some 0.0) 10.0 = Bad_baseline);
-  Alcotest.(check bool) "negative baseline guarded" true
-    (cmp (Some (-3.0)) 10.0 = Bad_baseline);
-  Alcotest.(check bool) "nan baseline guarded" true
-    (cmp (Some Float.nan) 10.0 = Bad_baseline);
-  Alcotest.(check bool) "nan current guarded" true
-    (cmp (Some 10.0) Float.nan = Bad_baseline);
-  (match cmp (Some 10.0) 12.0 with
-  | Within r -> Alcotest.(check (float 1e-9)) "ratio" 1.2 r
+  let table =
+    { rows = [ { metric = "w"; op = Le; bound = Baseline 1.25; full_only = false } ];
+      baseline = true }
+  in
+  let base = bench_record [ ("w", metric 10.0); ("n", metric ~kind:Exact 5.0) ] in
+  let cur ?host w n = bench_record ?host [ ("w", metric w); ("n", metric ~kind:Exact n) ] in
+  let one ?baseline r = List.hd (verdicts table ?baseline r) in
+  (match one ~baseline:base (cur 12.0 5.0) with
+  | Met (v, b) ->
+    Alcotest.(check (float 1e-9)) "value" 12.0 v;
+    Alcotest.(check (float 1e-9)) "bound" 12.5 b
   | _ -> Alcotest.fail "1.2x is within a 1.25 threshold");
-  (match cmp (Some 10.0) 13.0 with
-  | Regression r -> Alcotest.(check (float 1e-9)) "ratio" 1.3 r
+  (match one ~baseline:base (cur 13.0 5.0) with
+  | Violated (v, _) -> Alcotest.(check (float 1e-9)) "value" 13.0 v
   | _ -> Alcotest.fail "1.3x must regress a 1.25 threshold");
-  Alcotest.(check bool) "only regressions fail" true
-    (is_failure (cmp (Some 10.0) 13.0)
-    && (not (is_failure (cmp (Some 10.0) 12.0)))
-    && (not (is_failure (cmp (Some 0.0) 10.0)))
-    && not (is_failure (cmp None 10.0)))
+  Alcotest.(check bool) "no baseline record: skipped" true
+    (is_skipped (one (cur 13.0 5.0)));
+  Alcotest.(check bool) "baseline lacks the metric: skipped" true
+    (is_skipped (one ~baseline:(bench_record []) (cur 13.0 5.0)));
+  Alcotest.(check bool) "nan baseline: skipped" true
+    (is_skipped (one ~baseline:(bench_record [ ("w", metric Float.nan) ]) (cur 13.0 5.0)));
+  (* a checked record that cannot answer its own gate fails *)
+  Alcotest.(check bool) "nan current fails" true
+    (failed (one ~baseline:base (cur Float.nan 5.0)));
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) "zero or negative baseline fails a positive time" true
+        (failed (one ~baseline:(bench_record [ ("w", metric w) ]) (cur 10.0 5.0))))
+    [ 0.0; -3.0 ];
+  (* exact metrics: one equality row each, off by one fails *)
+  (match verdicts table ~baseline:base (cur 12.0 5.0) with
+  | [ _; Met (5.0, 5.0) ] -> ()
+  | _ -> Alcotest.fail "equal exact metric: one met equality row");
+  Alcotest.(check bool) "exact off by one fails" true
+    (failed (List.nth (verdicts table ~baseline:base (cur 12.0 6.0)) 1));
+  (* another host: the timed row is skipped, the exact row still gates *)
+  (match verdicts table ~baseline:base (cur ~host:"b" 99.0 6.0) with
+  | [ w; n ] ->
+    Alcotest.(check bool) "timed row skipped across hosts" true (is_skipped w);
+    Alcotest.(check bool) "exact row compared across hosts" true (failed n)
+  | _ -> Alcotest.fail "two rows");
+  Alcotest.(check bool) "only violations and unusable rows fail" true
+    (failed (Violated (2.0, 1.0)) && failed (Unusable "x")
+    && (not (failed (Met (1.0, 2.0)))) && not (failed (Skipped "x")))
 
-(* one-sided bounds used by the serve and scale gates *)
+(* one-sided rows against a constant or another metric of the record *)
 let test_bench_bounds () =
   let open Bench_check in
-  (match check_min ~floor:0.5 ~value:0.7 with
-  | Met v -> Alcotest.(check (float 1e-9)) "min met carries value" 0.7 v
+  let row ?(full_only = false) op bound = { metric = "v"; op; bound; full_only } in
+  let eval ?smoke r rw =
+    List.hd (verdicts { rows = [ rw ]; baseline = false } (bench_record ?smoke r))
+  in
+  let v x = [ ("v", metric x); ("c", metric 10.0) ] in
+  (match eval (v 0.7) (row Ge (Const 0.5)) with
+  | Met (x, b) ->
+    Alcotest.(check (float 1e-9)) "min met carries value" 0.7 x;
+    Alcotest.(check (float 1e-9)) "min met carries bound" 0.5 b
   | _ -> Alcotest.fail "0.7 meets a 0.5 floor");
-  (match check_min ~floor:0.5 ~value:0.3 with
-  | Violation v -> Alcotest.(check (float 1e-9)) "min violation value" 0.3 v
-  | _ -> Alcotest.fail "0.3 violates a 0.5 floor");
+  Alcotest.(check bool) "0.3 violates a 0.5 floor" true
+    (eval (v 0.3) (row Ge (Const 0.5)) = Violated (0.3, 0.5));
   Alcotest.(check bool) "floor is inclusive" true
-    (check_min ~floor:0.5 ~value:0.5 = Met 0.5);
-  (match check_max ~ceiling:10.0 ~value:8.0 with
-  | Met v -> Alcotest.(check (float 1e-9)) "max met carries value" 8.0 v
-  | _ -> Alcotest.fail "8 meets a 10 ceiling");
-  (match check_max ~ceiling:10.0 ~value:11.0 with
-  | Violation v -> Alcotest.(check (float 1e-9)) "max violation value" 11.0 v
-  | _ -> Alcotest.fail "11 violates a 10 ceiling");
+    (is_met (eval (v 0.5) (row Ge (Const 0.5))));
+  Alcotest.(check bool) "ceiling against another metric" true
+    (is_met (eval (v 8.0) (row Le (Times (1.0, "c")))));
+  Alcotest.(check bool) "scaled ceiling violated" true
+    (eval (v 11.0) (row Le (Times (1.0, "c"))) = Violated (11.0, 10.0));
   Alcotest.(check bool) "ceiling is inclusive" true
-    (check_max ~ceiling:10.0 ~value:10.0 = Met 10.0);
+    (is_met (eval (v 12.5) (row Le (Times (1.25, "c")))));
   (* the zero-ceiling form gates lp-dfp's bb_nodes = 0 invariant *)
   Alcotest.(check bool) "zero ceiling, zero value" true
-    (check_max ~ceiling:0.0 ~value:0.0 = Met 0.0);
+    (is_met (eval (v 0.0) (row Le (Const 0.0))));
   Alcotest.(check bool) "zero ceiling, one violates" true
-    (check_max ~ceiling:0.0 ~value:1.0 = Violation 1.0);
-  (* non-finite inputs never produce a verdict, in either direction *)
+    (failed (eval (v 1.0) (row Le (Const 0.0))));
+  (* a value or bound that is not finite, or not there, fails the row:
+     a typo'd gate cannot pass *)
   List.iter
-    (fun v ->
-      Alcotest.(check bool) "nan/inf value guarded" true
-        (check_min ~floor:1.0 ~value:v = Bad_value
-        && check_max ~ceiling:1.0 ~value:v = Bad_value);
-      Alcotest.(check bool) "nan/inf bound guarded" true
-        (check_min ~floor:v ~value:1.0 = Bad_value
-        && check_max ~ceiling:v ~value:1.0 = Bad_value))
+    (fun x ->
+      Alcotest.(check bool) "non-finite value fails" true
+        (failed (eval (v x) (row Ge (Const 1.0)))
+        && failed (eval (v x) (row Le (Const 1.0))));
+      Alcotest.(check bool) "non-finite bound metric fails" true
+        (failed
+           (eval [ ("v", metric 1.0); ("c", metric x) ] (row Le (Times (1.0, "c"))))))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
-  Alcotest.(check bool) "only violations fail" true
-    (bound_failure (Violation 2.0)
-    && (not (bound_failure (Met 2.0)))
-    && not (bound_failure Bad_value))
+  Alcotest.(check bool) "missing metric fails" true
+    (failed (eval [] (row Ge (Const 0.0))));
+  Alcotest.(check bool) "missing bound metric fails" true
+    (failed (eval (v 1.0) (row Le (Times (1.0, "nope")))));
+  Alcotest.(check bool) "full-scale row skipped on a smoke record" true
+    (is_skipped (eval ~smoke:true [] (row ~full_only:true Ge (Const 2000.0))));
+  Alcotest.(check bool) "full-scale row gates a full record" true
+    (failed (eval (v 1.0) (row ~full_only:true Ge (Const 2000.0))))
+
+(* The committed BENCH_*.json files: every record parses under the
+   schema (reading a file parses all of its records, analyze records
+   included), every gate row names metrics its experiment's newest
+   record has, and the serve, soak and scale records pass their gates. The
+   files sit in the working directory when the suite runs from the
+   repository root, one level up under dune. *)
+let committed experiment =
+  let file = Bench_check.file_of experiment in
+  let file = if Sys.file_exists file then file else Filename.concat ".." file in
+  List.filter
+    (fun r -> r.Bench_check.experiment = experiment)
+    (Bench_check.read_runs file)
+
+let newest experiment =
+  match List.rev (committed experiment) with
+  | r :: _ -> r
+  | [] -> Alcotest.failf "no committed %s record" experiment
+
+let test_bench_committed () =
+  List.iter
+    (fun (experiment, (table : Bench_check.table)) ->
+      let r = newest experiment in
+      let has m =
+        if not (List.mem_assoc m r.Bench_check.metrics) then
+          Alcotest.failf "%s gate names %s, absent from %S" experiment m
+            r.Bench_check.label
+      in
+      List.iter
+        (fun (row : Bench_check.row) ->
+          has row.metric;
+          match row.bound with
+          | Bench_check.Times (_, other) -> has other
+          | Const _ | Baseline _ -> ())
+        table.rows;
+      if experiment <> "pipeline" then
+        List.iter
+          (fun res ->
+            if Bench_check.failed (snd res) then
+              Alcotest.failf "%s: %s" experiment (Bench_check.describe res))
+          (Bench_check.evaluate table r))
+    Bench_check.gates
+
+(* a record file holding [runs], for [Bench_check.check] *)
+let with_runs runs f =
+  let file = Filename.temp_file "bench" ".json" in
+  Sys.remove file;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      List.iter (Bench_check.append_run file) runs;
+      f file)
+
+let relabel label (r : Bench_check.record) = { r with Bench_check.label }
+
+let test_bench_soak_mutilated () =
+  let r = newest "soak" in
+  with_runs [ r ] (fun file ->
+      Alcotest.(check bool) "committed soak record passes" true
+        (Bench_check.check ~file "soak"));
+  let gone = [ "crashes"; "untyped"; "recovered"; "telemetry.scrapes" ] in
+  let mutilated =
+    { r with
+      Bench_check.metrics =
+        List.filter (fun (n, _) -> not (List.mem n gone)) r.Bench_check.metrics }
+  in
+  with_runs [ mutilated ] (fun file ->
+      Alcotest.(check bool) "soak record without its gated metrics fails" false
+        (Bench_check.check ~file "soak"))
+
+let with_metric name f (r : Bench_check.record) =
+  { r with
+    Bench_check.metrics =
+      List.map
+        (fun (n, (m : Bench_check.metric)) ->
+          (n, if n = name then { m with value = f m.value } else m))
+        r.Bench_check.metrics }
+
+let test_bench_pipeline_drift () =
+  let base = newest "pipeline" in
+  with_runs [ base; relabel "same" base ] (fun file ->
+      Alcotest.(check bool) "a rerun equal to the baseline passes" true
+        (Bench_check.check ~file "pipeline"));
+  with_runs
+    [ base; relabel "drift" (with_metric "swim.lp_pivots" (( +. ) 1.0) base) ]
+    (fun file ->
+      Alcotest.(check bool) "one more swim pivot fails" false
+        (Bench_check.check ~file "pipeline"));
+  (* another host: ten times slower passes (timed rows are not
+     compared), a counter drift still fails *)
+  let elsewhere r = { (relabel "ci" r) with Bench_check.host = "elsewhere"; smoke = true } in
+  let slow = with_metric "swim.wall_ms" (( *. ) 10.0) base in
+  with_runs [ base; elsewhere slow ] (fun file ->
+      Alcotest.(check bool) "slower on another host passes" true
+        (Bench_check.check ~file "pipeline"));
+  with_runs [ base; elsewhere (with_metric "gemver.lp_pivots" (( +. ) 1.0) slow) ]
+    (fun file ->
+      Alcotest.(check bool) "counter drift on another host fails" false
+        (Bench_check.check ~file "pipeline"));
+  let table = List.assoc "pipeline" Bench_check.gates in
+  List.iter
+    (fun ((row : Bench_check.row), v) ->
+      let exact =
+        (List.assoc row.metric base.Bench_check.metrics).Bench_check.kind
+        = Bench_check.Exact
+      in
+      Alcotest.(check bool)
+        (row.metric ^ ": only exact rows compared across hosts")
+        exact (not (is_skipped v)))
+    (Bench_check.evaluate table ~baseline:base (elsewhere slow))
 
 (* --- counters on an empty run ---------------------------------------------- *)
 
@@ -478,6 +634,11 @@ let () =
           Alcotest.test_case "regression comparator" `Quick
             test_bench_comparator;
           Alcotest.test_case "bound comparators" `Quick test_bench_bounds;
+          Alcotest.test_case "committed records" `Quick test_bench_committed;
+          Alcotest.test_case "mutilated soak record fails" `Quick
+            test_bench_soak_mutilated;
+          Alcotest.test_case "pipeline counter drift fails" `Quick
+            test_bench_pipeline_drift;
           Alcotest.test_case "counters pp on empty run" `Quick
             test_counters_pp_empty;
         ] );

@@ -812,6 +812,51 @@ let test_stage_histograms_per_server () =
   Alcotest.(check (list string)) "the idle server has no stage series" []
     (count_series second)
 
+let test_stage_histograms_on_raise () =
+  (* a solve that raises mid-pipeline still observes the stages that
+     closed before the raise: with every LP exhausted, dependence
+     analysis completes and scheduling fails typed *)
+  let t = Serve.Server.create () in
+  Ilp.Lp.Chaos.exhaust := true;
+  let _, j =
+    Fun.protect ~finally:Ilp.Lp.Chaos.reset (fun () ->
+        respond t (sched_line ~id:1 "gemver"))
+  in
+  Alcotest.(check string) "the solve failed" "error" (str_field j "status");
+  Alcotest.(check int) "dep-analysis observed once" 1
+    (scraped t {|wisefuse_stage_duration_us_count{stage="dep-analysis"}|})
+
+let test_sampled_trace_stages () =
+  (* a sampled cold miss carries the pipeline's stage spans: the
+     solve's nested captures land in the request's recording *)
+  let t =
+    Serve.Server.create
+      ~config:{ Serve.Server.default_config with trace_sample = 1 }
+      ()
+  in
+  let (_, j), events =
+    Obs.Trace.with_recording (fun () -> respond t (sched_line ~id:1 "gemver"))
+  in
+  let names =
+    match Obs.Json.to_list_opt (field (field j "trace") "spans") with
+    | Some spans -> List.map (fun s -> str_field s "name") spans
+    | None -> Alcotest.fail "sampled trace has no spans"
+  in
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool) (stage ^ " span in the sampled trace") true
+        (List.mem stage names))
+    [ "dep-analysis"; "scheduling"; "verification"; "codegen"; "analysis" ];
+  (* an enclosing recording gets them too, and exports as a valid
+     trace *)
+  Alcotest.(check bool) "stage span in the enclosing recording" true
+    (List.exists
+       (fun (e : Obs.Trace.event) -> e.ph = Obs.Trace.B && e.name = "dep-analysis")
+       events);
+  match Obs.Export.validate (Obs.Export.chrome_trace events) with
+  | Ok n -> Alcotest.(check bool) "every event exported" true (n >= List.length events)
+  | Error msg -> Alcotest.failf "exported trace invalid: %s" msg
+
 let is_hex s =
   s <> ""
   && String.for_all
@@ -1116,6 +1161,10 @@ let () =
           Alcotest.test_case "health + idempotent shutdown" `Quick
             test_health_and_idempotent_shutdown;
           Alcotest.test_case "metrics op + snapshot" `Quick test_metrics_op;
+          Alcotest.test_case "stage histograms on a raise" `Quick
+            test_stage_histograms_on_raise;
+          Alcotest.test_case "sampled trace has the stages" `Quick
+            test_sampled_trace_stages;
           Alcotest.test_case "stage histograms per server" `Quick
             test_stage_histograms_per_server;
           Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
